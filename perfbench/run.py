@@ -60,9 +60,6 @@ def main():
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--trace", required=True, choices=("0", "1"))
-    parser.add_argument("--closed-loop", default="0", choices=("0", "1"),
-                        help="serve-dmt-durable: ignore the schedule "
-                             "(calibrates the open-loop rate)")
     args = parser.parse_args()
 
     target = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
@@ -71,7 +68,6 @@ def main():
         return 1
     command = [binary, "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", repr(args.seconds), "--trace", args.trace,
-               "--closed-loop", args.closed_loop,
                "--work-dir", os.path.join(target, "perfbench-work")]
     try:
         run = subprocess.run(command, stdout=subprocess.PIPE, text=True,

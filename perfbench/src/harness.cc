@@ -1,6 +1,5 @@
 #include "harness.h"
 
-#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -79,13 +78,13 @@ double Median(const std::vector<double>& values) {
   return n % 2 == 1 ? sorted[n / 2] : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
 }
 
-double BestQuantile(const std::vector<std::vector<double>>& passes, double q) {
-  double best = 0.0;
-  for (std::size_t i = 0; i < passes.size(); ++i) {
-    const double value = Quantile(passes[i], q);
-    if (i == 0 || value < best) best = value;
+double PassMedian(const std::vector<std::vector<double>>& passes, double q) {
+  std::vector<double> per_pass;
+  per_pass.reserve(passes.size());
+  for (const std::vector<double>& pass : passes) {
+    per_pass.push_back(Quantile(pass, q));
   }
-  return best;
+  return Median(per_pass);
 }
 
 std::vector<double> Pool(const std::vector<std::vector<double>>& passes) {
@@ -94,29 +93,6 @@ std::vector<double> Pool(const std::vector<std::vector<double>>& passes) {
     all.insert(all.end(), pass.begin(), pass.end());
   }
   return all;
-}
-
-void RotateCpus(std::size_t width) {
-  static const std::vector<int> cpus = [] {
-    std::vector<int> allowed;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-      for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-        if (CPU_ISSET(cpu, &set)) allowed.push_back(cpu);
-      }
-    }
-    return allowed;
-  }();
-  static std::size_t next = 0;
-  if (cpus.empty()) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (std::size_t i = 0; i < std::min(width, cpus.size()); ++i) {
-    CPU_SET(cpus[(next + i) % cpus.size()], &set);
-  }
-  ++next;
-  sched_setaffinity(0, sizeof(set), &set);  // best effort
 }
 
 double PeakRssMb() {
@@ -149,7 +125,6 @@ const char* LayerName(Layer layer) {
     case Layer::kPool: return "pool";
     case Layer::kStateDir: return "state_dir";
     case Layer::kSerial: return "serial";
-    case Layer::kDriver: return "driver";
     case Layer::kCount: break;
   }
   return "?";

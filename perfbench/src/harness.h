@@ -33,10 +33,6 @@ struct Options {
   bool trace = false;
   // Directory for state dirs (removed at exit) and span dumps (kept).
   std::string work_dir;
-  // serve-dmt-durable only: send every burst as soon as the previous one
-  // is answered (closed loop), ignoring the schedule's due times. This is
-  // how the workload's open-loop rate was calibrated.
-  bool closed_loop = false;
 };
 
 // One run's outcome; printed as the last stdout line.
@@ -73,18 +69,11 @@ class Result {
 double Quantile(std::vector<double> values, double q);
 double Median(const std::vector<double>& values);
 
-// Timings are reported from the least disturbed pass: the smallest
-// per-pass q-quantile. On a shared machine whole seconds run on a
-// contended core, so a pooled figure mostly measures how much of the run
-// was contended; the fastest pass measures the program.
-double BestQuantile(const std::vector<std::vector<double>>& passes, double q);
-
-// Restricts the calling thread, and the threads it starts afterwards, to
-// `width` CPUs of the process's initial affinity set, starting one CPU
-// further on each call. Workloads call it before each pass so that a run
-// samples every core: on a shared host one core can be contended for
-// seconds while another is not.
-void RotateCpus(std::size_t width);
+// Rates and medians are reported as the median over a run's passes of the
+// per-pass figure. A run holds many passes, so one disturbed pass moves
+// the figure little, and the minutes-long swings in speed of a shared
+// host are followed rather than sampled at their best moment.
+double PassMedian(const std::vector<std::vector<double>>& passes, double q);
 
 // Every pass's samples in one vector (tails need the samples of all
 // passes: a per-pass p99 rests on a handful of samples).
@@ -98,8 +87,7 @@ std::string Digest(std::string_view bytes);
 
 // --- Span tracer -----------------------------------------------------------
 
-// Layers are the modules under src/dmt/ the benchmark calls into, plus
-// `driver` for the open-loop generator's own waiting.
+// Layers are the modules under src/dmt/ the benchmark calls into.
 enum class Layer {
   kStreams,
   kEval,
@@ -109,7 +97,6 @@ enum class Layer {
   kPool,
   kStateDir,
   kSerial,
-  kDriver,
   kCount
 };
 const char* LayerName(Layer layer);

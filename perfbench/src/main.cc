@@ -85,10 +85,9 @@ const MetricList& PerLayerMetrics() {
         {"serial.save_us_per_stream", "us"},
         {"serial.load_us_per_stream", "us"},
         {"serial.archive_kb_mean", "KB"},
-        {"driver.late_us_p99", "us"},
     };
     for (const char* layer : {"streams", "eval", "core", "serve", "bridge",
-                              "pool", "state_dir", "serial", "driver"}) {
+                              "pool", "state_dir", "serial"}) {
       l.push_back({std::string(layer) + ".calls", "count"});
       l.push_back({std::string(layer) + ".self_ms", "ms"});
     }
@@ -133,9 +132,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--trace") {
       if (value != "0" && value != "1") return Usage("bad --trace");
       options.trace = value == "1";
-    } else if (flag == "--closed-loop") {
-      if (value != "0" && value != "1") return Usage("bad --closed-loop");
-      options.closed_loop = value == "1";
     } else if (flag == "--work-dir") {
       options.work_dir = value;
     } else {

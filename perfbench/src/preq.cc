@@ -162,7 +162,6 @@ void RunPreqAgrawalDmt(const Options& options, Result* result) {
   while (untraced.empty() || (options.trace && traced.empty()) ||
          static_cast<double>(NowNs() - start) * 1e-9 < options.seconds) {
     const bool trace_this = options.trace && untraced.size() > traced.size();
-    RotateCpus(1);
     if (trace_this) {
       traced.push_back(RunPass(options.seed, &tracer,
                                traced.empty() ? &telemetry : nullptr));
@@ -206,12 +205,10 @@ void RunPreqAgrawalDmt(const Options& options, Result* result) {
                first.splits.mean(), all.size());
 
   if (!options.trace) {
-    std::vector<double> setup;
-    double rows_per_s = 0.0;  // of the fastest pass
+    std::vector<double> setup, rows_per_s;
     for (const PassStats& pass : untraced) {
       setup.push_back(pass.setup_s);
-      rows_per_s = std::max(rows_per_s,
-                            static_cast<double>(pass.rows) / pass.loop_s);
+      rows_per_s.push_back(static_cast<double>(pass.rows) / pass.loop_s);
     }
     const auto iter = PerPass(untraced, &PassStats::iter_us);
     const auto fit = PerPass(untraced, &PassStats::fit_us);
@@ -220,12 +217,12 @@ void RunPreqAgrawalDmt(const Options& options, Result* result) {
     std::size_t within = 0;
     for (const double us : all_iter) within += us <= kIterLimitUs ? 1 : 0;
     result->Metric("setup_s", Median(setup), "s");
-    result->Metric("rows_per_s", rows_per_s, "1/s");
-    result->Metric("iter_us_p50", BestQuantile(iter, 0.5), "us");
+    result->Metric("rows_per_s", Median(rows_per_s), "1/s");
+    result->Metric("iter_us_p50", PassMedian(iter, 0.5), "us");
     result->Metric("iter_us_p99", Quantile(all_iter, 0.99), "us");
-    result->Metric("train_us_p50", BestQuantile(fit, 0.5), "us");
+    result->Metric("train_us_p50", PassMedian(fit, 0.5), "us");
     result->Metric("train_us_p99", Quantile(Pool(fit), 0.99), "us");
-    result->Metric("score_us_p50", BestQuantile(score, 0.5), "us");
+    result->Metric("score_us_p50", PassMedian(score, 0.5), "us");
     result->Metric("score_us_p99", Quantile(Pool(score), 0.99), "us");
     result->Metric("f1_mean", first.f1.mean(), "ratio");
     result->Metric("slo_ok_ratio",

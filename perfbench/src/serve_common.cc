@@ -63,7 +63,7 @@ void RequestLatencies(const Script& script,
 }
 
 void ReportServeCalls(const CallStats& stats, std::size_t requests,
-                      Result* result) {
+                      bool windows_inline, Result* result) {
   double route_ns = 0.0;
   for (const double ns : stats.route_ns) route_ns += ns;
   double window_us = 0.0;
@@ -77,7 +77,10 @@ void ReportServeCalls(const CallStats& stats, std::size_t requests,
                             : 0.0,
                  "count");
   result->Metric("serve.window_allocs_per_request",
-                 static_cast<double>(stats.window_allocs) / n, "count");
+                 windows_inline
+                     ? static_cast<double>(stats.window_allocs) / n
+                     : 0.0,
+                 "count");
   result->Metric("serve.window_ns_per_request", window_us * 1e3 / n, "ns");
   result->Metric("serve.window_us_p50", Quantile(stats.window_us, 0.50), "us");
   result->Metric("serve.window_us_p99", Quantile(stats.window_us, 0.99), "us");

@@ -131,8 +131,11 @@ void RequestLatencies(const Script& script,
                       double limit_us, LatencySamples* out);
 
 // Emits the serve.* per-layer timing metrics of `stats` over `requests`.
+// Allocation counts are per thread, so serve.window_allocs_per_request is
+// measured only when windows run inline on the calling thread
+// (`windows_inline`); otherwise it reports 0, as a bypassed layer does.
 void ReportServeCalls(const CallStats& stats, std::size_t requests,
-                      Result* result);
+                      bool windows_inline, Result* result);
 
 }  // namespace perfbench
 

@@ -5,15 +5,17 @@
 // recur. Set-up is ServeEngine construction recovering from a prepared
 // manifest: the restart cost.
 //
-// The timed phase is an open loop: a seeded schedule of bursts at a fixed
-// mean rate. The generator calls ServeLine when each request is due and Flush
-// after each burst, as the socket bridge does once a client's burst has
-// been read, so window boundaries follow the schedule rather than the
-// clock and every pass produces the same transcript. Latency runs from a
-// request's due time to the emission of its response line. Uses streams,
-// core, serve, pool, state_dir and serial; bypasses bridge.
+// The timed phase replays a seeded list of bursts, again and again, on the
+// last engine recovered at set-up. It is a closed loop: the driver sends a
+// burst as soon as the previous one has been answered, calling ServeLine
+// for each of its requests and Flush after it, as the socket bridge does
+// once a client's burst has been read. Window boundaries follow the
+// bursts, so the transcript of replay 0 is the same on every run. Latency
+// runs from the burst's send to the emission of each response line. Uses
+// streams, core, serve, pool, state_dir and serial; bypasses bridge.
+#include <sched.h>
+
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -21,7 +23,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dmt/common/random.h"
@@ -46,32 +47,38 @@ constexpr std::size_t kStreams = 2'000;
 constexpr int kFeatures = 9;
 constexpr int kClasses = 2;
 constexpr std::size_t kShards = 2;
-constexpr std::size_t kMaxStreams = 1'900;
-// Windows between checkpoints; with one window per burst this lands about
-// two checkpoints in each pass.
-constexpr std::size_t kCheckpointEvery = 800;
+// Two streams fewer than the live set: a replay parks and warm-starts a
+// few of the least popular streams (0 to 4 times), in well under 1% of
+// its windows, so the p99s stay on regular windows.
+constexpr std::size_t kMaxStreams = 1'998;
+// Windows between checkpoints. The warm-up closes 657 windows and recovery
+// restores that count; a replay then closes one window per burst
+// (kBursts), so replay 0 crosses window 1,500 only, and every replay lands
+// one or two checkpoints.
+constexpr std::size_t kCheckpointEvery = 1'500;
 // Requests of the warm-up that builds the prepared manifest, after one
 // train request per stream.
 constexpr std::size_t kWarmupRequests = 40'000;
-// Open-loop schedule: bursts of 1..15 requests (mean 8) arriving as a
-// Poisson process at kRate requests per second, for kScheduleSeconds per
-// pass. The closed-loop capacity on a shared 4-core x86 VM ranged from 17k
-// (contended) to 59k requests/s; the rate stays well below the contended
-// figure so the loop never saturates and its latencies stay comparable.
-constexpr double kRate = 6'000.0;
-constexpr int kBurstMean = 8;
-constexpr double kScheduleSeconds = 2.5;
+// Bursts per replay. Their sizes are 1..15 requests, each size equally
+// often in a seeded order, so every replay sends 15,000 requests whatever
+// the seed.
+constexpr std::size_t kBursts = 1'875;
+constexpr int kMaxBurst = 15;
 // Latency limit of one request for slo_ok_ratio.
-constexpr double kLimitUs = 20'000.0;
-// Extra engine recoveries per run, so setup_s is a median of several.
-constexpr int kSetupSamples = 3;
+constexpr double kLimitUs = 1'000.0;
+// Engine recoveries per run; setup_s is their median.
+constexpr int kSetupSamples = 5;
+// Scripts the replays take turns with. They share the burst sizes but draw
+// their streams apart, so a replay touches some streams the previous one
+// left idle, and warm starts and evictions recur; with one script, replay
+// k + 1 would touch exactly the streams replay k kept resident.
+constexpr std::size_t kScripts = 2;
 
 struct Inputs {
   std::vector<std::string> names;
   Script warmup;
-  Script script;
-  std::vector<std::size_t> burst_end;   // one past each burst's last request
-  std::vector<std::int64_t> burst_due;  // offset from the pass start, ns
+  std::vector<Script> scripts;
+  std::vector<std::size_t> burst_end;  // one past each burst's last request
 };
 
 Inputs MakeInputs(std::uint64_t seed) {
@@ -96,18 +103,16 @@ Inputs MakeInputs(std::uint64_t seed) {
     return by_rank[std::min(rank, kStreams - 1)];
   };
 
-  // Burst schedule first: it fixes how many rows are needed.
-  std::vector<int> burst_size;
-  double t = 0.0;
+  // Burst sizes first: they fix how many rows are needed.
+  std::vector<int> burst_size(kBursts);
   std::size_t scheduled = 0;
-  while (t < kScheduleSeconds) {
-    burst_size.push_back(rng.UniformInt(1, 2 * kBurstMean - 1));
-    inputs.burst_due.push_back(static_cast<std::int64_t>(t * 1e9));
-    scheduled += static_cast<std::size_t>(burst_size.back());
-    t += -std::log(1.0 - rng.Uniform()) * kBurstMean / kRate;
+  for (std::size_t b = 0; b < kBursts; ++b) {
+    burst_size[b] = 1 + static_cast<int>(b % kMaxBurst);
+    scheduled += static_cast<std::size_t>(burst_size[b]);
   }
+  std::shuffle(burst_size.begin(), burst_size.end(), rng.engine());
 
-  const std::size_t rows = kStreams + kWarmupRequests + scheduled;
+  const std::size_t rows = kStreams + kWarmupRequests + kScripts * scheduled;
   std::unique_ptr<dmt::streams::Stream> stream =
       dmt::streams::DatasetByName("Agrawal").make(rows, seed);
   dmt::Batch batch(kFeatures, rows);
@@ -128,11 +133,27 @@ Inputs MakeInputs(std::uint64_t seed) {
   for (std::size_t i = 0; i < kWarmupRequests; ++i) {
     request(&inputs.warmup, zipf(), rng.Bernoulli(0.8));
   }
-  for (const int size : burst_size) {
-    for (int i = 0; i < size; ++i) {
-      request(&inputs.script, zipf(), rng.Bernoulli(0.8));
+  // Script 0 opens with the stream the warm-up touched least recently. The
+  // engine parks streams least recently used first, so that stream is
+  // parked when replay 0 starts, and every run warm-starts and evicts at
+  // least once, whatever the seed.
+  std::vector<std::size_t> last_touch(kStreams, 0);
+  for (std::size_t i = 0; i < inputs.warmup.size(); ++i) {
+    last_touch[inputs.warmup.sent[i].stream] = i;
+  }
+  const auto coldest = static_cast<std::uint32_t>(
+      std::min_element(last_touch.begin(), last_touch.end()) -
+      last_touch.begin());
+  inputs.scripts.resize(kScripts);
+  for (std::size_t k = 0; k < kScripts; ++k) {
+    Script& script = inputs.scripts[k];
+    for (const int size : burst_size) {
+      for (int i = 0; i < size; ++i) {
+        const bool opening = k == 0 && script.size() == 0;
+        request(&script, opening ? coldest : zipf(), rng.Bernoulli(0.8));
+      }
+      if (k == 0) inputs.burst_end.push_back(script.size());
     }
-    inputs.burst_end.push_back(inputs.script.size());
   }
   return inputs;
 }
@@ -181,59 +202,29 @@ std::string StageStateDir(const std::string& work, const std::string& manifest,
 }
 
 struct PassOutput {
-  double setup_s = 0.0;
   double wall_s = 0.0;
-  double idle_s = 0.0;  // time spent waiting for the next due burst
-  std::vector<double> late_us;
-  std::vector<std::int64_t> due_ns;  // per request
+  std::vector<std::int64_t> sent_ns;  // per request: its burst's send
   CallStats calls;
   LatencySamples latency;
-  std::vector<double> shard_rows;
 };
 
-PassOutput RunPass(const Inputs& inputs, std::uint64_t seed,
-                   const std::string& state_dir, bool closed_loop,
-                   Tracer* tracer, LineSink* sink) {
+// One replay of `script` on the long-lived engine.
+PassOutput RunPass(const Inputs& inputs, const Script& script,
+                   dmt::serve::ServeEngine* engine, Tracer* tracer,
+                   LineSink* sink) {
   PassOutput pass;
-  const Script& script = inputs.script;
-  std::unique_ptr<dmt::serve::ServeEngine> engine;
-  {
-    const std::int64_t start = NowNs();
-    SpanScope span(tracer, Layer::kStateDir, 0);
-    engine = std::make_unique<dmt::serve::ServeEngine>(
-        EngineConfig(seed, state_dir));
-    pass.setup_s = static_cast<double>(NowNs() - start) * 1e-9;
-  }
   sink->Clear();
   std::ostream out(sink);
-  pass.due_ns.assign(script.size(), 0);
-  pass.late_us.reserve(inputs.burst_due.size());
+  pass.sent_ns.assign(script.size(), 0);
   pass.calls.route_ns.reserve(script.size());
-  pass.calls.window_us.reserve(inputs.burst_due.size() + script.size() / 64);
+  pass.calls.window_us.reserve(kBursts + script.size() / 64);
   pass.calls.iter_us.reserve(pass.calls.window_us.capacity());
-  // The schedule starts slightly in the future so the first burst is not
-  // already late; the lead counts as waiting.
   const std::int64_t loop_start = NowNs();
-  const std::int64_t start = loop_start + 2'000'000;
   std::size_t next = 0;
-  for (std::size_t b = 0; b < inputs.burst_due.size(); ++b) {
-    std::int64_t now = NowNs();
-    const std::int64_t due = closed_loop ? now : start + inputs.burst_due[b];
-    if (now < due) {
-      const std::int64_t wait_start = now;
-      SpanScope span(tracer, Layer::kDriver, b);
-      // Sleep most of the gap, then spin to the due time.
-      if (due - now > 200'000) {
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds(due - now - 150'000));
-      }
-      while ((now = NowNs()) < due) {
-      }
-      pass.idle_s += static_cast<double>(now - wait_start) * 1e-9;
-    }
-    pass.late_us.push_back(static_cast<double>(now - due) * 1e-3);
+  for (std::size_t b = 0; b < kBursts; ++b) {
+    const std::int64_t sent = NowNs();
     for (; next < inputs.burst_end[b]; ++next) {
-      pass.due_ns[next] = due;
+      pass.sent_ns[next] = sent;
       ObserveCall(*engine, tracer, next, Layer::kPool, &pass.calls,
                   [&] { engine->ServeLine(script.line(next), out); });
     }
@@ -241,19 +232,36 @@ PassOutput RunPass(const Inputs& inputs, std::uint64_t seed,
                 [&] { engine->Flush(out); });
   }
   pass.wall_s = static_cast<double>(NowNs() - loop_start) * 1e-9;
-  for (std::size_t s = 0; s < engine->num_shards(); ++s) {
-    const dmt::serve::Shard& shard = engine->shard(s);
-    pass.shard_rows.push_back(
-        static_cast<double>(*shard.train_rows + *shard.score_rows));
-  }
   return pass;
+}
+
+// Restricts this thread, and the threads it starts afterwards (the shard
+// workers), to the last CPU it may run on. On a shared VM a window that
+// waits for a worker on another vCPU waits whenever the host has preempted
+// that vCPU, and those waits set the p99s: unpinned, the p99s of two runs
+// differed up to tenfold. On one CPU the shards' tasks take turns with the
+// routing thread, so the workload measures the cost of dispatching
+// windows to the pool, not their parallel speed-up.
+void PinToOneCpu() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return;
+  int last = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) last = cpu;
+  }
+  if (last < 0) return;
+  CPU_ZERO(&set);
+  CPU_SET(last, &set);
+  sched_setaffinity(0, sizeof(set), &set);  // best effort
 }
 
 }  // namespace
 
 void RunServeDmtDurable(const Options& options, Result* result) {
+  PinToOneCpu();
   const Inputs inputs = MakeInputs(options.seed);
-  const Script& script = inputs.script;
+  const Script& script = inputs.scripts[0];
   const std::string work =
       options.work_dir + "/durable-" + std::to_string(options.seed);
   fs::remove_all(work);
@@ -276,11 +284,16 @@ void RunServeDmtDurable(const Options& options, Result* result) {
   const std::string manifest = NewestManifest(work + "/template");
   if (!result->Check(!manifest.empty(), "warm-up wrote no manifest")) return;
 
+  // Set-up: recoveries from fresh copies of the prepared manifest. The
+  // last one is the engine that serves the timed phase.
   std::vector<double> setup_s;
+  std::unique_ptr<dmt::serve::ServeEngine> engine;
   for (int i = 0; i < kSetupSamples; ++i) {
-    const std::string dir = StageStateDir(work, manifest, "recover");
+    const std::string dir = StageStateDir(work, manifest, "serve");
+    engine.reset();
     const std::int64_t start = NowNs();
-    { dmt::serve::ServeEngine engine(EngineConfig(options.seed, dir)); }
+    engine = std::make_unique<dmt::serve::ServeEngine>(
+        EngineConfig(options.seed, dir));
     setup_s.push_back(static_cast<double>(NowNs() - start) * 1e-9);
   }
 
@@ -289,26 +302,29 @@ void RunServeDmtDurable(const Options& options, Result* result) {
   std::vector<PassOutput> untraced, traced;
   Tracer tracer;
   std::string digest;
-  ServeTally tally;
+  ServeTally first;
+  // Train counts continue from the warm-up's, replay after replay.
+  std::vector<std::uint64_t> counts = warm_counts;
+  std::uint64_t checkpoints = 0, evictions = 0, warm_starts = 0;
+  double peak_rss_mb = 0.0;
   const std::int64_t begin = NowNs();
-  // A traced run alternates untraced and traced passes of the same loop.
+  // A traced run alternates untraced and traced replays of the same loop.
   while (untraced.empty() || (options.trace && traced.empty()) ||
          static_cast<double>(NowNs() - begin) * 1e-9 < options.seconds) {
     const bool trace_this = options.trace && untraced.size() > traced.size();
-    const std::string dir = StageStateDir(work, manifest, "pass");
-    // The engine's shard workers inherit the routing thread's CPUs.
-    RotateCpus(kShards + 1);
-    PassOutput pass =
-        RunPass(inputs, options.seed, dir, options.closed_loop,
-                trace_this ? &tracer : nullptr, &sink);
-    fs::remove_all(dir);
+    const Script& replayed =
+        inputs.scripts[(untraced.size() + traced.size()) % kScripts];
+    PassOutput pass = RunPass(inputs, replayed, engine.get(),
+                              trace_this ? &tracer : nullptr, &sink);
+    const ServeTally tally = CheckTranscript(
+        sink.text(), replayed.sent, inputs.names, kClasses, &counts, result);
     if (digest.empty()) {
-      // Every pass restarts from the manifest, so train counts continue
-      // from the warm-up's.
-      std::vector<std::uint64_t> counts = warm_counts;
-      tally = CheckTranscript(sink.text(), script.sent, inputs.names, kClasses,
-                              &counts, result);
+      // Later replays continue from the state the earlier ones left, and
+      // how many run depends on the machine's speed, so the digest that
+      // must be equal across runs is replay 0's.
+      first = tally;
       digest = Digest(sink.text());
+      peak_rss_mb = PeakRssMb();
       std::fprintf(stderr,
                    "perfbench: serve-dmt-durable seed=%llu transcript=%s "
                    "f1=%.6f requests=%zu checkpoints=%llu evictions=%llu "
@@ -319,44 +335,49 @@ void RunServeDmtDurable(const Options& options, Result* result) {
                    static_cast<unsigned long long>(pass.calls.evictions),
                    static_cast<unsigned long long>(pass.calls.warm_starts));
     }
-    result->Check(Digest(sink.text()) == digest,
-                  "transcript differs between passes");
-    RequestLatencies(script, pass.due_ns, sink, tally, kLimitUs, &pass.latency);
+    RequestLatencies(replayed, pass.sent_ns, sink, tally, kLimitUs,
+                     &pass.latency);
     pass.latency.iter_us = pass.calls.iter_us;
-    result->Check(pass.calls.checkpoints > 0 && pass.calls.evictions > 0 &&
-                      pass.calls.warm_starts > 0,
-                  "a pass recorded no checkpoint, eviction or warm start");
+    checkpoints += pass.calls.checkpoints;
+    evictions += pass.calls.evictions;
+    warm_starts += pass.calls.warm_starts;
     result->attempted += tally.sent;
     result->failed += tally.errors();
-    setup_s.push_back(pass.setup_s);
     (trace_this ? traced : untraced).push_back(std::move(pass));
   }
+  result->Check(checkpoints > 0 && evictions > 0 && warm_starts > 0,
+                "the run recorded no checkpoint, eviction or warm start");
+  std::vector<double> shard_rows;
+  for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+    const dmt::serve::Shard& shard = engine->shard(s);
+    shard_rows.push_back(
+        static_cast<double>(*shard.train_rows + *shard.score_rows));
+  }
+  engine.reset();
 
   const double n = static_cast<double>(script.size());
   if (!options.trace) {
-    // Every timing comes from the least disturbed pass (harness.h); a
-    // pass holds ~1,900 windows and ~3,000 scores, so even its p99 rests
-    // on 19 or more samples.
+    // Rates and medians: median over the passes (harness.h); tails pooled.
     std::vector<std::vector<double>> iter, train, score;
+    std::vector<double> rows_per_s;
     std::size_t ok_within = 0, sent = 0;
-    double rows_per_s = 0.0;
     for (PassOutput& pass : untraced) {
       iter.push_back(std::move(pass.latency.iter_us));
       train.push_back(std::move(pass.latency.train_us));
       score.push_back(std::move(pass.latency.score_us));
       ok_within += pass.latency.ok_within;
       sent += pass.latency.sent;
-      rows_per_s = std::max(rows_per_s, n / (pass.wall_s - pass.idle_s));
+      rows_per_s.push_back(n / pass.wall_s);
     }
     result->Metric("setup_s", Median(setup_s), "s");
-    result->Metric("rows_per_s", rows_per_s, "1/s");
-    result->Metric("iter_us_p50", BestQuantile(iter, 0.50), "us");
-    result->Metric("iter_us_p99", BestQuantile(iter, 0.99), "us");
-    result->Metric("train_us_p50", BestQuantile(train, 0.50), "us");
-    result->Metric("train_us_p99", BestQuantile(train, 0.99), "us");
-    result->Metric("score_us_p50", BestQuantile(score, 0.50), "us");
-    result->Metric("score_us_p99", BestQuantile(score, 0.99), "us");
-    result->Metric("f1_mean", ServedF1(tally, kClasses), "ratio");
+    result->Metric("rows_per_s", Median(rows_per_s), "1/s");
+    result->Metric("iter_us_p50", PassMedian(iter, 0.50), "us");
+    result->Metric("iter_us_p99", Quantile(Pool(iter), 0.99), "us");
+    result->Metric("train_us_p50", PassMedian(train, 0.50), "us");
+    result->Metric("train_us_p99", Quantile(Pool(train), 0.99), "us");
+    result->Metric("score_us_p50", PassMedian(score, 0.50), "us");
+    result->Metric("score_us_p99", Quantile(Pool(score), 0.99), "us");
+    result->Metric("f1_mean", ServedF1(first, kClasses), "ratio");
     result->Metric("slo_ok_ratio",
                    static_cast<double>(ok_within) / static_cast<double>(sent),
                    "ratio");
@@ -364,7 +385,7 @@ void RunServeDmtDurable(const Options& options, Result* result) {
                    1.0 - static_cast<double>(result->failed) /
                              static_cast<double>(result->attempted),
                    "ratio");
-    result->Metric("peak_rss_mb", PeakRssMb(), "MB");
+    result->Metric("peak_rss_mb", peak_rss_mb, "MB");
     fs::remove_all(work);
     return;
   }
@@ -416,8 +437,8 @@ void RunServeDmtDurable(const Options& options, Result* result) {
 
   // Per-layer figures of the traced passes.
   CallStats calls;
-  std::vector<double> late_us, traced_busy_ms, untraced_busy_ms;
-  double traced_ms = layers_ms, skew = 0.0;
+  std::vector<double> traced_pass_ms, untraced_pass_ms;
+  double traced_ms = layers_ms;
   for (const PassOutput& pass : traced) {
     const CallStats& c = pass.calls;
     calls.route_ns.insert(calls.route_ns.end(), c.route_ns.begin(), c.route_ns.end());
@@ -432,20 +453,17 @@ void RunServeDmtDurable(const Options& options, Result* result) {
     calls.warm_start_us.insert(calls.warm_start_us.end(), c.warm_start_us.begin(),
                                c.warm_start_us.end());
     calls.windows += c.windows;
-    late_us.insert(late_us.end(), pass.late_us.begin(), pass.late_us.end());
-    traced_ms += (pass.setup_s + pass.wall_s) * 1e3;
-    traced_busy_ms.push_back((pass.wall_s - pass.idle_s) * 1e3);
-    const double max = *std::max_element(pass.shard_rows.begin(), pass.shard_rows.end());
-    const double mean = std::accumulate(pass.shard_rows.begin(), pass.shard_rows.end(), 0.0) /
-                        static_cast<double>(pass.shard_rows.size());
-    skew = std::max(skew, mean > 0 ? max / mean : 0.0);
+    traced_ms += pass.wall_s * 1e3;
+    traced_pass_ms.push_back(pass.wall_s * 1e3);
   }
   for (const PassOutput& pass : untraced) {
-    untraced_busy_ms.push_back((pass.wall_s - pass.idle_s) * 1e3);
+    untraced_pass_ms.push_back(pass.wall_s * 1e3);
   }
-  const PassOutput& first = traced.front();
-  ReportServeTally(tally, result);
-  ReportServeCalls(calls, script.size() * traced.size(), result);
+  ReportServeTally(first, result);
+  // Windows run on pool workers, whose allocations the routing thread's
+  // counter does not see.
+  ReportServeCalls(calls, script.size() * traced.size(),
+                   /*windows_inline=*/false, result);
   {
     dmt::serve::Request request;
     std::string error;
@@ -456,22 +474,28 @@ void RunServeDmtDurable(const Options& options, Result* result) {
     result->Metric("serve.parse_ns_per_request",
                    static_cast<double>(NowNs() - start) / n, "ns");
   }
-  result->Metric("pool.shard_skew", skew, "ratio");
+  const double max_rows =
+      *std::max_element(shard_rows.begin(), shard_rows.end());
+  const double mean_rows =
+      std::accumulate(shard_rows.begin(), shard_rows.end(), 0.0) /
+      static_cast<double>(shard_rows.size());
+  result->Metric("pool.shard_skew", mean_rows > 0 ? max_rows / mean_rows : 0.0,
+                 "ratio");
+  // Counts of the first traced replay (replay 1, the same on every run).
+  const CallStats& counted = traced.front().calls;
   result->Metric("state_dir.checkpoints",
-                 static_cast<double>(first.calls.checkpoints), "count");
+                 static_cast<double>(counted.checkpoints), "count");
   result->Metric("state_dir.checkpoint_ms_p50", Median(calls.checkpoint_ms), "ms");
-  result->Metric("state_dir.evictions", static_cast<double>(first.calls.evictions),
+  result->Metric("state_dir.evictions", static_cast<double>(counted.evictions),
                  "count");
   result->Metric("state_dir.evict_window_us_p50", Median(calls.evict_window_us),
                  "us");
   result->Metric("state_dir.warm_starts",
-                 static_cast<double>(first.calls.warm_starts), "count");
+                 static_cast<double>(counted.warm_starts), "count");
   result->Metric("state_dir.warm_start_us_p50", Median(calls.warm_start_us), "us");
-  result->Metric("driver.late_us_p99", Quantile(late_us, 0.99), "us");
-  // The open loop's wall time is fixed by the schedule, so the overhead
-  // compares busy time (wall minus waiting for due bursts).
-  ReportTrace(tracer, traced_ms, Median(traced_busy_ms) - Median(untraced_busy_ms),
-              result);
+  // Per-pass overhead: median traced pass minus median untraced pass.
+  ReportTrace(tracer, traced_ms,
+              Median(traced_pass_ms) - Median(untraced_pass_ms), result);
   tracer.Dump(options.work_dir + "/spans-serve-dmt-durable-seed" +
               std::to_string(options.seed) + ".tsv");
   fs::remove_all(work);
