@@ -627,34 +627,35 @@ std::string CanonicalArchive(const std::string& name) {
   return SnapshotOf(*model);
 }
 
-class GoldenArchiveTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(GoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
-  const std::string name = GetParam();
-  const std::string bytes = CanonicalArchive(name);
+// Reads the pinned bench/goldens/<name>.dmts into `golden`. Under
+// DMT_UPDATE_GOLDENS the file is instead rewritten from `bytes` and the
+// test is marked skipped; callers return when IsSkipped() or HasFailure().
+void ReadOrUpdateGolden(const std::string& name, const std::string& bytes,
+                        std::string* golden) {
   const std::string path = std::string(DMT_SOURCE_DIR) + "/bench/goldens/" +
                            SanitizeName(name) + ".dmts";
   if (std::getenv("DMT_UPDATE_GOLDENS") != nullptr) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
+    EXPECT_TRUE(out) << "cannot write " << path;
     out << bytes;
     GTEST_SKIP() << "regenerated " << path;
   }
   std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden archive " << path
+  if (!in) {
+    ADD_FAILURE() << "missing golden archive " << path
                   << " -- regenerate with DMT_UPDATE_GOLDENS=1 "
                      "./dmt_tests --gtest_filter='*GoldenArchive*'";
+    return;
+  }
   std::stringstream golden_stream;
   golden_stream << in.rdbuf();
-  const std::string golden = golden_stream.str();
+  *golden = golden_stream.str();
+}
 
-  // 1. The pinned archive must still load (backward compatibility).
-  std::istringstream decode(golden, std::ios::binary);
-  std::unique_ptr<Classifier> restored = serial::LoadClassifier(decode);
-  ASSERT_NE(restored, nullptr);
-
-  // 2. The format must not have drifted: the canonical recipe reproduces
-  //    the pinned bytes exactly.
+// The format must not have drifted: the canonical recipe reproduces the
+// pinned bytes exactly.
+void ExpectGoldenBytes(const std::string& name, const std::string& bytes,
+                       const std::string& golden) {
   ASSERT_EQ(bytes.size(), golden.size())
       << name << ": archive format changed. If intentional, bump "
       << "serial::kFormatVersion (src/dmt/serial/archive.h) and regenerate "
@@ -663,6 +664,46 @@ TEST_P(GoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
       << name << ": archive bytes changed. If intentional, bump "
       << "serial::kFormatVersion (src/dmt/serial/archive.h) and regenerate "
       << "the goldens with DMT_UPDATE_GOLDENS=1 (see comment above).";
+}
+
+class GoldenArchiveTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenArchiveTest, PinnedFormatStillDecodesAndReproduces) {
+  const std::string name = GetParam();
+  const std::string bytes = CanonicalArchive(name);
+  std::string golden;
+  ReadOrUpdateGolden(name, bytes, &golden);
+  if (IsSkipped() || HasFailure()) return;
+
+  // 1. The pinned archive must still load (backward compatibility).
+  std::istringstream decode(golden, std::ios::binary);
+  std::unique_ptr<Classifier> restored = serial::LoadClassifier(decode);
+  ASSERT_NE(restored, nullptr);
+
+  // 2. The canonical recipe reproduces the pinned bytes.
+  ExpectGoldenBytes(name, bytes, golden);
+}
+
+// DMT-R is not a Classifier, so it has its own recipe: a drifting linear
+// target with a step, long enough to split and then replace a subtree.
+TEST(RegressorGoldenArchiveTest, DmtRegressorPinnedFormatReproduces) {
+  core::DmtRegressor model({.num_features = 3});
+  Rng rng(91);
+  for (int b = 0; b < 60; ++b) {
+    linear::RegressionBatch batch(3);
+    FillRegression(&rng, &batch, 3, 150, b >= 20);
+    model.PartialFit(batch);
+  }
+  std::ostringstream out(std::ios::binary);
+  model.Save(out);
+  const std::string bytes = out.str();
+  std::string golden;
+  ReadOrUpdateGolden("DMT-R", bytes, &golden);
+  if (IsSkipped() || HasFailure()) return;
+
+  std::istringstream decode(golden, std::ios::binary);
+  ASSERT_NE(core::DmtRegressor::Load(decode), nullptr);
+  ExpectGoldenBytes("DMT-R", bytes, golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, GoldenArchiveTest,
