@@ -5,7 +5,7 @@
 // Since the dirty-node gain scheduler the engine is two-phase. Every batch
 // runs the accumulate-only fast path; the expensive evaluation half runs
 // only when the caller's scheduler declares the node due (see
-// dynamic_model_tree.h, DmtConfig::gain_test_every / gain_test_threshold):
+// dmt_tree.h and DmtConfig::gain_test_every / gain_test_threshold):
 //
 //  AccumulateNodeStatistics -- always, one call per (node, batch):
 //   0. The node's rows are GATHERED into a contiguous row-major tile
@@ -94,7 +94,7 @@
 
 namespace dmt::core {
 
-// The DmtConfig/DmtRegressorConfig fields the engine needs.
+// The DmtTreeConfig fields the engine needs.
 struct CandidateUpdateParams {
   int num_features = 0;
   std::size_t max_candidates = 0;

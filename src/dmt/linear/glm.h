@@ -70,6 +70,8 @@ struct GlmConfig {
 
 class Glm {
  public:
+  using Config = GlmConfig;
+
   explicit Glm(const GlmConfig& config);
   explicit Glm(const GlmConfig& config, Rng* rng);
 

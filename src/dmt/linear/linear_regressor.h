@@ -88,6 +88,8 @@ struct LinearRegressorConfig {
 
 class LinearRegressor {
  public:
+  using Config = LinearRegressorConfig;
+
   explicit LinearRegressor(const LinearRegressorConfig& config);
   LinearRegressor(const LinearRegressorConfig& config, Rng* rng);
 

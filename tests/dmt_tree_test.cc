@@ -6,6 +6,7 @@
 #include "dmt/common/random.h"
 #include "dmt/common/types.h"
 #include "dmt/core/candidate.h"
+#include "dmt/core/dmt_regressor.h"
 #include "dmt/core/dynamic_model_tree.h"
 
 namespace dmt::core {
@@ -82,6 +83,21 @@ TEST(DmtTest, ThresholdsFollowAicDerivation) {
   DynamicModelTree multi(
       {.num_features = 4, .num_classes = 3, .epsilon = 1e-8});
   EXPECT_NEAR(multi.SplitThreshold(), 15.0 - std::log(1e-8), 1e-9);
+  // DMT-R's linear regression node model: k = m + 1, whatever the
+  // learning rate.
+  DmtRegressor regressor({.num_features = 9, .learning_rate = 0.3});
+  EXPECT_NEAR(regressor.SplitThreshold(), 10.0 - std::log(1e-8), 1e-9);
+  // Eq. (4) puts 2 new models in place of the subtree's leaves, Eq. (5)
+  // one; negative deltas clamp to the -log(eps) margin.
+  DmtRegressor loose({.num_features = 4, .epsilon = 1e-3});
+  const double margin = -std::log(1e-3);
+  EXPECT_NEAR(loose.SplitThreshold(), 5.0 + margin, 1e-12);
+  EXPECT_NEAR(loose.ReplaceThreshold(1), 5.0 + margin, 1e-12);
+  EXPECT_NEAR(loose.ReplaceThreshold(2), margin, 1e-12);
+  EXPECT_NEAR(loose.ReplaceThreshold(5), margin, 1e-12);
+  EXPECT_NEAR(loose.PruneThreshold(1), margin, 1e-12);
+  EXPECT_NEAR(loose.PruneThreshold(2), margin, 1e-12);
+  EXPECT_NEAR(loose.PruneThreshold(100), margin, 1e-12);
 }
 
 TEST(DmtTest, StaysShallowOnLinearlySeparableConcept) {

@@ -1,5 +1,8 @@
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +11,7 @@
 #include "dmt/core/dmt_regressor.h"
 #include "dmt/eval/regression_prequential.h"
 #include "dmt/linear/linear_regressor.h"
+#include "dmt/obs/telemetry.h"
 #include "dmt/streams/regression_streams.h"
 #include "dmt/trees/fimtdd_regressor.h"
 
@@ -178,6 +182,77 @@ TEST(DmtRegressorTest, EventsClearTheirThresholds) {
   for (const core::StructuralEvent& event : tree.events()) {
     EXPECT_GE(event.gain, event.threshold);
   }
+}
+
+// Linear target with a step at x0 = 0.5 that drifts to a different linear
+// target without the step: the tree splits first and restructures later.
+RegressionBatch MakeDriftingBatch(Rng* rng, int n, bool drifted) {
+  RegressionBatch batch(2);
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> x = {rng->Uniform(), rng->Uniform()};
+    const double y = drifted ? -3.0 * x[0] + x[1]
+                             : 2.0 * x[0] - x[1] + (x[0] > 0.5 ? 1.0 : 0.0);
+    batch.Add(x, y + 0.01 * rng->Gaussian());
+  }
+  return batch;
+}
+
+std::string ArchiveOf(const core::DmtRegressor& tree) {
+  std::ostringstream out(std::ios::binary);
+  tree.Save(out);
+  return out.str();
+}
+
+TEST(DmtRegressorTest, NonFiniteRowsLeaveTheStateOfTheirRemoval) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  core::DmtRegressor dirty({.num_features = 2});
+  core::DmtRegressor clean({.num_features = 2});
+  Rng rng(13);
+  for (int b = 0; b < 120; ++b) {
+    const RegressionBatch batch = MakeDriftingBatch(&rng, 150, b >= 40);
+    RegressionBatch contaminated(2);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      // A NaN or Inf in a feature or in the target, then the usable row.
+      switch (i % 10) {
+        case 0: contaminated.Add(std::vector<double>{nan, 0.5}, 1.0); break;
+        case 3: contaminated.Add(std::vector<double>{0.5, -inf}, 1.0); break;
+        case 6: contaminated.Add(std::vector<double>{0.5, 0.5}, nan); break;
+        case 9: contaminated.Add(std::vector<double>{0.5, 0.5}, inf); break;
+        default: break;
+      }
+      contaminated.Add(batch.row(i), batch.target(i));
+    }
+    dirty.PartialFit(contaminated);
+    clean.PartialFit(batch);
+    if (b % 40 == 0) {
+      // A batch of only unusable rows is a no-op, like an empty batch.
+      RegressionBatch junk(2);
+      junk.Add(std::vector<double>{inf, nan}, -inf);
+      dirty.PartialFit(junk);
+      clean.PartialFit(RegressionBatch(2));
+    }
+  }
+  EXPECT_GE(clean.num_subtree_replacements(), 1u);
+  EXPECT_EQ(ArchiveOf(dirty), ArchiveOf(clean));
+}
+
+TEST(DmtRegressorTest, TelemetryMatchesStructuralCounters) {
+  obs::TelemetryRegistry registry;
+  core::DmtRegressor tree({.num_features = 2});
+  tree.AttachTelemetry(&registry);
+  Rng rng(13);
+  for (int b = 0; b < 120; ++b) {
+    tree.PartialFit(MakeDriftingBatch(&rng, 150, b >= 40));
+  }
+  // The drift must have restructured the tree, not only grown it.
+  EXPECT_GE(tree.num_splits_performed(), 1u);
+  EXPECT_GE(tree.num_subtree_replacements() + tree.num_prunes(), 1u);
+  EXPECT_EQ(*registry.Counter("dmt.splits"), tree.num_splits_performed());
+  EXPECT_EQ(*registry.Counter("dmt.replacements"),
+            tree.num_subtree_replacements());
+  EXPECT_EQ(*registry.Counter("dmt.prunes"), tree.num_prunes());
+  EXPECT_GT(*registry.Counter("dmt.gain_tests_run"), 0u);
 }
 
 TEST(FimtDdRegressorTest, LearnsPiecewiseTarget) {
