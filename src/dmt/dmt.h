@@ -16,9 +16,6 @@
 #include "dmt/core/dmt_regressor.h"
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/drift/adwin.h"
-#include "dmt/drift/ddm.h"
-#include "dmt/drift/eddm.h"
-#include "dmt/drift/kswin.h"
 #include "dmt/drift/page_hinkley.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/ensemble/leveraging_bagging.h"
