@@ -56,11 +56,6 @@
 #include "dmt/linear/linear_regressor.h"
 #include "dmt/serial/archive.h"
 
-namespace dmt::obs {
-class TelemetryRegistry;
-struct PhaseTimer;
-}  // namespace dmt::obs
-
 namespace dmt::core {
 
 // The Algorithm-1 settings of the core. DmtConfig and DmtRegressorConfig
