@@ -12,7 +12,11 @@ namespace {
 class CsvStreamTest : public ::testing::Test {
  protected:
   void WriteFile(const std::string& content) {
-    path_ = ::testing::TempDir() + "csv_stream_test.csv";
+    // One file per test: ctest -j runs the tests of this suite as
+    // concurrent processes sharing TempDir().
+    path_ = ::testing::TempDir() + "csv_stream_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
     std::ofstream out(path_);
     out << content;
   }
