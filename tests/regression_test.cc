@@ -255,6 +255,76 @@ TEST(DmtRegressorTest, TelemetryMatchesStructuralCounters) {
   EXPECT_GT(*registry.Counter("dmt.gain_tests_run"), 0u);
 }
 
+TEST(DmtRegressorTest, RejectsOutOfRangeReplacementRate) {
+  for (const double rate : {1.5, -0.1}) {
+    const core::DmtRegressorConfig config{.num_features = 2,
+                                          .replacement_rate = rate};
+    EXPECT_DEATH({ core::DmtRegressor tree(config); }, "replacement_rate")
+        << "replacement_rate " << rate;
+  }
+}
+
+TEST(DmtRegressorTest, DeterministicUnderFixedSeed) {
+  const core::DmtRegressorConfig config{.num_features = 2, .seed = 9};
+  core::DmtRegressor a(config);
+  core::DmtRegressor b(config);
+  Rng rng(14);
+  for (int s = 0; s < 80; ++s) {
+    const RegressionBatch batch = MakeDriftingBatch(&rng, 150, s >= 40);
+    a.PartialFit(batch);
+    b.PartialFit(batch);
+  }
+  EXPECT_GE(a.num_splits_performed(), 1u);
+  ASSERT_EQ(a.events().size(), b.events().size());
+  for (std::size_t i = 0; i < a.events().size(); ++i) {
+    EXPECT_EQ(a.events()[i].time_step, b.events()[i].time_step);
+    EXPECT_EQ(a.events()[i].gain, b.events()[i].gain);
+  }
+  EXPECT_EQ(ArchiveOf(a), ArchiveOf(b));
+}
+
+TEST(DmtRegressorTest, PredictsInOriginalTargetUnits) {
+  // The tree learns on standardized targets; Predict must undo the scaling
+  // and the offset, or a target far from zero is off by its whole mean.
+  core::DmtRegressor tree({.num_features = 3, .learning_rate = 0.1});
+  Rng rng(15);
+  const std::vector<double> w = {400.0, -800.0, 200.0};
+  for (int b = 0; b < 100; ++b) {
+    tree.PartialFit(MakeLinearData(&rng, 100, w, 5000.0, 20.0));
+  }
+  const RegressionBatch test = MakeLinearData(&rng, 500, w, 5000.0);
+  double mae = 0.0;
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    mae += std::abs(tree.Predict(test.row(i)) - test.target(i));
+  }
+  // 400 times the tolerance of StaysSingleLeafOnLinearTarget.
+  EXPECT_LT(mae / 500.0, 60.0);
+}
+
+TEST(DmtRegressorTest, LeafFeatureWeightsExposeLocalExplanations) {
+  // y = 2 x1 for x0 <= 0.5 and y = -2 x1 + 3 otherwise: after the split,
+  // the leaves explain x1 with opposite signs.
+  core::DmtRegressor tree({.num_features = 2, .learning_rate = 0.1});
+  Rng rng(5);
+  for (int b = 0; b < 150; ++b) {
+    RegressionBatch batch(2);
+    for (int i = 0; i < 100; ++i) {
+      std::vector<double> x = {rng.Uniform(), rng.Uniform()};
+      batch.Add(x, x[0] <= 0.5 ? 2.0 * x[1] : -2.0 * x[1] + 3.0);
+    }
+    tree.PartialFit(batch);
+  }
+  ASSERT_GE(tree.NumInnerNodes(), 1u);
+  const std::vector<double> left_x = {0.1, 0.5};
+  const std::vector<double> right_x = {0.9, 0.5};
+  const std::vector<double> low = tree.LeafFeatureWeights(left_x);
+  const std::vector<double> high = tree.LeafFeatureWeights(right_x);
+  ASSERT_EQ(low.size(), 2u);
+  ASSERT_EQ(high.size(), 2u);
+  EXPECT_GT(low[1], 0.0);
+  EXPECT_LT(high[1], 0.0);
+}
+
 TEST(FimtDdRegressorTest, LearnsPiecewiseTarget) {
   trees::FimtDdRegressor tree({.num_features = 2});
   Rng rng(7);

@@ -20,6 +20,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -595,6 +596,40 @@ TEST(SnapshotDecodeHeaderTest, RegressorLoadRejectsForeignAndTruncated) {
     std::istringstream in(bytes.substr(0, cut), std::ios::binary);
     EXPECT_THROW(core::DmtRegressor::Load(in), serial::SerialError)
         << "truncated at " << cut;
+  }
+}
+
+TEST(SnapshotDecodeHeaderTest, RegressorBitFlipsNeverEscapeSerialError) {
+  // The DMT-R config tail and node records are decoded by the shared tree
+  // core: a flipped byte must decode or throw SerialError, never abort.
+  core::DmtRegressor model({.num_features = 2});
+  Rng rng(72);
+  for (int b = 0; b < 6; ++b) {
+    linear::RegressionBatch batch(2);
+    FillRegression(&rng, &batch, 2, 150, b >= 4);
+    model.PartialFit(batch);
+  }
+  std::ostringstream out(std::ios::binary);
+  model.Save(out);
+  const std::string bytes = out.str();
+  // Every bit of the header and config region, then a stride across the
+  // node records.
+  std::vector<std::pair<std::size_t, int>> flips;
+  for (std::size_t i = 0; i < 128 && i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) flips.emplace_back(i, bit);
+  }
+  const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 256);
+  for (std::size_t i = 128; i < bytes.size(); i += stride) {
+    flips.emplace_back(i, static_cast<int>(i % 8));
+  }
+  for (const auto& [i, bit] : flips) {
+    std::string mutated = bytes;
+    mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
+    std::istringstream in(mutated, std::ios::binary);
+    try {
+      core::DmtRegressor::Load(in);
+    } catch (const serial::SerialError&) {
+    }
   }
 }
 
