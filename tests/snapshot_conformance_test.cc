@@ -44,6 +44,7 @@
 #include "dmt/trees/hoeffding_adaptive.h"
 #include "dmt/trees/sgt.h"
 #include "dmt/trees/vfdt.h"
+#include "golden_file.h"
 
 namespace dmt {
 namespace {
@@ -662,29 +663,11 @@ std::string CanonicalArchive(const std::string& name) {
   return SnapshotOf(*model);
 }
 
-// Reads the pinned bench/goldens/<name>.dmts into `golden`. Under
-// DMT_UPDATE_GOLDENS the file is instead rewritten from `bytes` and the
-// test is marked skipped; callers return when IsSkipped() or HasFailure().
+// Reads the pinned bench/goldens/<name>.dmts into `golden` (see
+// golden_file.h for the DMT_UPDATE_GOLDENS regeneration path).
 void ReadOrUpdateGolden(const std::string& name, const std::string& bytes,
                         std::string* golden) {
-  const std::string path = std::string(DMT_SOURCE_DIR) + "/bench/goldens/" +
-                           SanitizeName(name) + ".dmts";
-  if (std::getenv("DMT_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    EXPECT_TRUE(out) << "cannot write " << path;
-    out << bytes;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ADD_FAILURE() << "missing golden archive " << path
-                  << " -- regenerate with DMT_UPDATE_GOLDENS=1 "
-                     "./dmt_tests --gtest_filter='*GoldenArchive*'";
-    return;
-  }
-  std::stringstream golden_stream;
-  golden_stream << in.rdbuf();
-  *golden = golden_stream.str();
+  testgolden::ReadOrUpdateGolden(SanitizeName(name) + ".dmts", bytes, golden);
 }
 
 // The format must not have drifted: the canonical recipe reproduces the

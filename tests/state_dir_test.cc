@@ -6,12 +6,19 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dmt/linear/glm_classifier.h"
+#include "dmt/robust/faulty_stream.h"
+#include "dmt/serve/engine.h"
 #include "dmt/serve/state_dir.h"
+#include "golden_file.h"
 
 namespace dmt {
 namespace {
@@ -255,6 +262,150 @@ TEST(StateDirTest, EvictionFileNamesAreSafeAndDistinct) {
   std::string long_b = long_a;
   long_b.back() = 'y';
   EXPECT_NE(serve::EvictionFileName(long_a), serve::EvictionFileName(long_b));
+}
+
+// ------------------------------------------------- pinned engine state
+//
+// bench/goldens/serve_manifest.dmtm and serve_stats.txt pin the manifest
+// bytes and the `stats` text of one fixed GLM session that reaches every
+// routing tally except state_errors, each with a different value, so a
+// swap of two tallies in the wire order or in the stats line changes
+// bytes. After an intentional format change, bump the serial format
+// version and regenerate with
+//   DMT_UPDATE_GOLDENS=1 ./dmt_tests --gtest_filter='*PinnedServeState*'
+
+serve::ServeConfig GoldenServeConfig(const std::string& state_dir) {
+  serve::ServeConfig config;
+  config.num_features = 2;
+  config.num_classes = 2;
+  config.seed = 7;
+  config.batch_window = 8;
+  config.queue_capacity = 7;
+  config.bad_input_policy = BadInputPolicy::kImputeMidpoint;
+  config.state_dir = state_dir;
+  config.model_kind = "GLM";
+  config.checkpoint_every = 2;
+  config.max_streams = 2;
+  config.inject = robust::FaultSpec::Parse("nan=0.05,flip=0.3");
+  config.factory = [](const std::string& /*id*/,
+                      std::uint64_t seed) -> std::unique_ptr<Classifier> {
+    linear::GlmConfig glm;
+    glm.num_features = 2;
+    glm.num_classes = 2;
+    glm.seed = seed;
+    return std::make_unique<linear::GlmClassifier>(glm);
+  };
+  return config;
+}
+
+std::vector<std::string> GoldenServeScript(const std::string& snapshot) {
+  std::vector<std::string> lines;
+  for (int i = 0; i < 160; ++i) {
+    const std::string id = "s" + std::to_string((i / 6 + i % 3) % 7);
+    std::ostringstream line;
+    const double a = static_cast<double>((i * 37) % 100) / 100.0;
+    const double b = static_cast<double>((i * 61) % 100) / 100.0;
+    if (i % 29 == 11) {
+      line << "train " << id << " 0.5";  // arity error
+    } else if (i % 11 == 5) {
+      line << "train " << id << " nan,nan," << i % 2;
+    } else if (i % 17 == 3) {
+      line << "train " << id << ' ' << a << ',' << b << ",5";  // bad label
+    } else if (i % 5 == 2) {
+      line << "score " << id << ' ' << a << ',' << b;
+    } else {
+      line << "train " << id << ' ' << a << ',' << b << ','
+           << (a + b > 1.0 ? 1 : 0);
+    }
+    lines.push_back(line.str());
+    if (i % 40 == 39) lines.push_back("stats");
+    if (i == 90) lines.push_back("snapshot s2 " + snapshot);
+    if (i == 95) lines.push_back("snapshot s1 " + snapshot);
+    if (i == 100) lines.push_back("restore s1 " + snapshot);
+    if (i == 105) lines.push_back("snapshot s0 " + snapshot);
+    if (i == 110) lines.push_back("restore s3 " + snapshot);
+    if (i == 115) lines.push_back("snapshot s6 " + snapshot);
+    if (i == 120) lines.push_back("drop s4");
+    if (i == 130) lines.push_back("restore s2 " + snapshot);
+    if (i == 140) lines.push_back("drop s5");
+  }
+  lines.push_back("stats");
+  return lines;
+}
+
+std::string StatsLinesOf(const std::string& responses) {
+  std::istringstream in(responses);
+  std::string stats;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("OK stats ", 0) == 0) stats += line + "\n";
+  }
+  return stats;
+}
+
+TEST(StateDirTest, PinnedServeStateMatchesGoldens) {
+  const std::string dir = FreshDir("state_golden");
+  const std::string snapshot = FreshDir("state_golden_snap") + "/s.dmts";
+  std::ostringstream out;
+  std::uint64_t seq = 0;
+  std::string continued;
+  {
+    serve::ServeEngine engine(GoldenServeConfig(dir));
+    for (const std::string& line : GoldenServeScript(snapshot)) {
+      engine.ServeLine(line, out);
+    }
+    engine.Finish(out);
+    seq = engine.checkpoints();
+    // The stats line a live engine answers right after its final
+    // checkpoint; a recovered engine must answer the same.
+    std::ostringstream next;
+    engine.ServeLine("stats", next);
+    engine.Flush(next);
+    continued = next.str();
+  }
+  const std::string manifest =
+      ReadFileBytes(dir + "/" + serve::ManifestFileName(seq));
+  const std::string stats = StatsLinesOf(out.str());
+
+  std::string golden_manifest;
+  std::string golden_stats;
+  testgolden::ReadOrUpdateGolden("serve_manifest.dmtm", manifest,
+                                 &golden_manifest);
+  testgolden::ReadOrUpdateGolden("serve_stats.txt", stats, &golden_stats);
+  if (IsSkipped() || HasFailure()) return;
+  EXPECT_EQ(manifest, golden_manifest)
+      << "manifest bytes changed; bump the serial format version and "
+         "regenerate the goldens (see comment above)";
+  EXPECT_EQ(stats, golden_stats);
+
+  // Every tally this session reaches holds a different value.
+  std::set<std::string> values;
+  std::size_t tallies = 0;
+  std::istringstream fields(continued.substr(continued.find('{') + 1));
+  std::string field;
+  while (std::getline(fields, field, ',')) {
+    const std::string name = field.substr(field.find('"') + 1);
+    if (name.rfind("streams\"", 0) == 0 ||
+        name.rfind("resident_streams\"", 0) == 0 ||
+        name.rfind("state_errors\"", 0) == 0) {
+      continue;
+    }
+    ++tallies;
+    values.insert(field.substr(field.find(':') + 2));
+  }
+  EXPECT_EQ(tallies, 16u) << continued;
+  EXPECT_EQ(values.size(), tallies) << continued;
+
+  // The committed manifest recovers, and the recovered engine's first
+  // stats line continues the numbering where the session stopped.
+  const std::string recover_dir = FreshDir("state_golden_recover");
+  WriteFileBytes(recover_dir + "/" + serve::ManifestFileName(seq),
+                 golden_manifest);
+  serve::ServeEngine recovered(GoldenServeConfig(recover_dir));
+  std::ostringstream first;
+  recovered.ServeLine("stats", first);
+  recovered.Flush(first);
+  EXPECT_EQ(first.str(), continued);
 }
 
 }  // namespace
