@@ -64,6 +64,11 @@ class Classifier {
   // every `out` buffer below).
   virtual int num_classes() const = 0;
 
+  // Width of every row this model trains on and scores (the length of
+  // every `x` below). A model decoded from an archive reports the width it
+  // was built with, so a caller can refuse one that does not fit its rows.
+  virtual int num_features() const = 0;
+
   // Writes the class-probability estimates for one observation into `out`
   // (exactly num_classes() entries, sums to ~1). This is the scoring
   // primitive every model implements natively, with no per-call heap

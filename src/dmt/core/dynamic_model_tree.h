@@ -89,6 +89,7 @@ class DynamicModelTree : public Classifier,
 
   void PartialFit(const Batch& batch) override;
   int num_classes() const override { return config_.num_classes; }
+  int num_features() const override { return config_.num_features; }
   // Routes to the responsible leaf and scores its simple model in place.
   void PredictProbaInto(std::span<const double> x,
                         std::span<double> out) const override {

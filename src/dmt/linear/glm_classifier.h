@@ -29,6 +29,7 @@ class GlmClassifier : public Classifier {
     model_.set_resets_counter(registry->Counter("glm.resets"));
   }
   int num_classes() const override { return model_.num_classes(); }
+  int num_features() const override { return model_.num_features(); }
   void PredictProbaInto(std::span<const double> x,
                         std::span<double> out) const override {
     model_.PredictProbaInto(x, out);

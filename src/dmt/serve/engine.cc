@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <future>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -50,6 +51,49 @@ bool RngFromText(const std::string& text, Rng* rng) {
   std::istringstream in(text);
   in >> rng->engine();
   return static_cast<bool>(in);
+}
+
+// The `stats` response fields after "streams" and "resident_streams", in
+// response order (which differs from the manifest wire order of Tally).
+constexpr std::pair<const char*, Tally> kStatsFields[] = {
+    {"streams_created", kStreamsCreated},
+    {"requests", kRequests},
+    {"train_rows", kTrainRows},
+    {"score_rows", kScoreRows},
+    {"bad_rows", kBadRows},
+    {"values_imputed", kValuesImputed},
+    {"rejected", kRejected},
+    {"parse_errors", kParseErrors},
+    {"snapshots", kSnapshots},
+    {"restores", kRestores},
+    {"drops", kDrops},
+    {"windows", kWindows},
+    {"evictions", kEvictions},
+    {"warm_starts", kWarmStarts},
+    {"checkpoints", kCheckpoints},
+    {"injected_rows", kInjectedRows},
+    {"state_errors", kStateErrors},
+};
+static_assert(std::size(kStatsFields) == kNumTallies,
+              "every tally needs exactly one stats field");
+
+// The one shape check for a model decoded from an archive (restore, warm
+// start, recovery): it must score the engine's rows into the engine's
+// classes. A model that fits is attached to `shard`'s telemetry and ""
+// is returned; otherwise the mismatch, e.g. "archive has 40 features,
+// engine 2", and the model is left untouched.
+std::string AttachIfFits(Classifier* model, const ServeConfig& config,
+                         Shard* shard) {
+  if (model->num_classes() != config.num_classes) {
+    return "archive has " + std::to_string(model->num_classes()) +
+           " classes, engine " + std::to_string(config.num_classes);
+  }
+  if (model->num_features() != config.num_features) {
+    return "archive has " + std::to_string(model->num_features()) +
+           " features, engine " + std::to_string(config.num_features);
+  }
+  model->AttachTelemetry(&shard->telemetry);
+  return "";
 }
 
 }  // namespace
@@ -107,7 +151,7 @@ ServeEngine::StreamState* ServeEngine::FindOrCreateStream(
   ++shard->num_streams;
   *shard->resident_streams = static_cast<double>(shard->num_streams);
   ++resident_;
-  ++streams_created_;
+  ++tallies_[kStreamsCreated];
   return &streams_.emplace(id, std::move(state)).first->second;
 }
 
@@ -117,14 +161,9 @@ bool ServeEngine::WarmStart(StreamState* stream, std::string* error) {
         ReadEvictionArchive(config_.state_dir, stream->id);
     std::unique_ptr<Classifier> model =
         serial::LoadClassifierFromString(archive);
-    if (model->num_classes() != config_.num_classes) {
-      throw StateError("parked archive has " +
-                       std::to_string(model->num_classes()) +
-                       " classes, engine " +
-                       std::to_string(config_.num_classes));
-    }
     Shard* shard = shards_[stream->shard].get();
-    model->AttachTelemetry(&shard->telemetry);
+    const std::string mismatch = AttachIfFits(model.get(), config_, shard);
+    if (!mismatch.empty()) throw StateError("parked " + mismatch);
     stream->model = std::move(model);
     // The parked file is now stale (the resident model trains on); the
     // next eviction or checkpoint re-serializes from memory.
@@ -133,10 +172,10 @@ bool ServeEngine::WarmStart(StreamState* stream, std::string* error) {
     *shard->resident_streams = static_cast<double>(shard->num_streams);
     *shard->warm_starts += 1;
     ++resident_;
-    ++warm_starts_;
+    ++tallies_[kWarmStarts];
     return true;
   } catch (const std::exception& e) {
-    ++state_errors_;
+    ++tallies_[kStateErrors];
     *error = e.what();
     return false;
   }
@@ -198,7 +237,7 @@ void ServeEngine::InjectFaults(Request* request, StreamState* stream) {
       injected = true;
     }
   }
-  if (injected) ++injected_rows_;
+  if (injected) ++tallies_[kInjectedRows];
 }
 
 void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
@@ -219,8 +258,8 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
   // Touch bookkeeping for LRU/TTL eviction: the request ordinal is unique,
   // so the LRU order is total and eviction picks the same victims at any
   // shard count.
-  stream->last_touch = requests_;
-  stream->last_window = windows_;
+  stream->last_touch = tallies_[kRequests];
+  stream->last_window = tallies_[kWindows];
   Shard* shard = shards_[stream->shard].get();
 
   if (config_.inject.any() &&
@@ -242,7 +281,7 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
         row_bad = true;
         if (config_.bad_input_policy == BadInputPolicy::kImputeMidpoint) {
           request.values[i] = 0.0;
-          ++values_imputed_;
+          ++tallies_[kValuesImputed];
         }
       }
     }
@@ -254,7 +293,7 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
                   label >= static_cast<double>(config_.num_classes);
     }
     if (row_bad || label_bad) {
-      ++bad_rows_;
+      ++tallies_[kBadRows];
       *shard->bad_rows += 1;
       // The gauge holds the offending value verbatim -- possibly NaN/Inf;
       // the JSON exporter must render it as null, not as bare `nan`.
@@ -281,7 +320,7 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
   // away, hence retry-after=1).
   std::vector<Routed>& queue = shard_queues_[stream->shard];
   if (queue.size() >= config_.queue_capacity) {
-    ++rejected_;
+    ++tallies_[kRejected];
     *shard->rejected += 1;
     responses_[slot] = "ERR retry-after=1 " + request.stream_id + " shard=" +
                        std::to_string(stream->shard) + " queue_full";
@@ -297,16 +336,16 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
   switch (request.verb) {
     case Verb::kTrain:
       routed.ordinal = ++stream->rows_trained;
-      ++train_rows_;
+      ++tallies_[kTrainRows];
       break;
     case Verb::kScore:
-      ++score_rows_;
+      ++tallies_[kScoreRows];
       break;
     case Verb::kSnapshot:
-      ++snapshots_;
+      ++tallies_[kSnapshots];
       break;
     case Verb::kRestore:
-      ++restores_;
+      ++tallies_[kRestores];
       break;
     default:
       break;
@@ -315,7 +354,7 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
 }
 
 void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
-  ++requests_;
+  ++tallies_[kRequests];
   Request request;
   std::string error;
   const bool parsed =
@@ -342,7 +381,7 @@ void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
         RemoveEvictionArchive(config_.state_dir, request.stream_id);
       }
       streams_.erase(it);
-      ++drops_;
+      ++tallies_[kDrops];
       out << "OK drop " << request.stream_id << '\n';
     }
     return;
@@ -350,7 +389,7 @@ void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
   const std::size_t slot = responses_.size();
   responses_.emplace_back();
   if (!parsed) {
-    ++parse_errors_;
+    ++tallies_[kParseErrors];
     responses_[slot] = "ERR parse " + error;
   } else {
     RouteRequest(std::move(request), slot);
@@ -392,14 +431,14 @@ void ServeEngine::Flush(std::ostream& out) {
   for (const std::string& response : responses_) out << response << '\n';
   out.flush();
   responses_.clear();
-  ++windows_;
+  ++tallies_[kWindows];
   EvictAtBoundary();
   if (!config_.state_dir.empty() && config_.checkpoint_every > 0 &&
-      windows_ % config_.checkpoint_every == 0) {
+      tallies_[kWindows] % config_.checkpoint_every == 0) {
     WriteCheckpoint();
   }
   if (config_.exporter != nullptr && config_.export_every > 0 &&
-      windows_ % config_.export_every == 0) {
+      tallies_[kWindows] % config_.export_every == 0) {
     ExportTelemetry();
   }
 }
@@ -412,7 +451,7 @@ void ServeEngine::EvictAtBoundary() {
   if (config_.idle_windows > 0) {
     for (auto& [id, state] : streams_) {
       if (state.model != nullptr &&
-          windows_ - state.last_window > config_.idle_windows) {
+          tallies_[kWindows] - state.last_window > config_.idle_windows) {
         victims.push_back(&state);
       }
     }
@@ -445,7 +484,7 @@ bool ServeEngine::EvictStream(StreamState* stream) {
   } catch (const std::exception& e) {
     // Never silently lose state: a stream that cannot be parked stays
     // resident and serving continues.
-    ++state_errors_;
+    ++tallies_[kStateErrors];
     std::fprintf(stderr, "dmt_serve: cannot evict stream '%s': %s\n",
                  stream->id.c_str(), e.what());
     return false;
@@ -456,7 +495,7 @@ bool ServeEngine::EvictStream(StreamState* stream) {
   *shard->resident_streams = static_cast<double>(shard->num_streams);
   *shard->evictions += 1;
   --resident_;
-  ++evictions_;
+  ++tallies_[kEvictions];
   return true;
 }
 
@@ -472,26 +511,10 @@ void ServeEngine::WriteCheckpoint() {
                            config_.inject.missing_rate,
                            config_.inject.flip_rate,
                            config_.inject.truncate_rate};
-  ManifestTallies& t = manifest.tallies;
-  t.requests = requests_;
-  t.parse_errors = parse_errors_;
-  t.rejected = rejected_;
-  t.bad_rows = bad_rows_;
-  t.values_imputed = values_imputed_;
-  t.train_rows = train_rows_;
-  t.score_rows = score_rows_;
-  t.snapshots = snapshots_;
-  t.restores = restores_;
-  t.drops = drops_;
-  t.streams_created = streams_created_;
-  t.windows = windows_;
-  t.evictions = evictions_;
-  t.warm_starts = warm_starts_;
+  manifest.tallies = tallies_;
   // The checkpoint counts itself: a run recovered from it must report the
   // same `checkpoints` tally as the run that wrote it.
-  t.checkpoints = checkpoints_ + 1;
-  t.injected_rows = injected_rows_;
-  t.state_errors = state_errors_;
+  ++manifest.tallies[kCheckpoints];
 
   std::vector<const StreamState*> order;
   order.reserve(streams_.size());
@@ -522,12 +545,12 @@ void ServeEngine::WriteCheckpoint() {
   } catch (const std::exception& e) {
     // A failed checkpoint never interrupts serving; the previous manifest
     // stays the recovery point.
-    ++state_errors_;
+    ++tallies_[kStateErrors];
     std::fprintf(stderr, "dmt_serve: checkpoint %llu failed: %s\n",
                  static_cast<unsigned long long>(manifest.seq), e.what());
     return;
   }
-  ++checkpoints_;
+  ++tallies_[kCheckpoints];
   ++next_checkpoint_seq_;
 }
 
@@ -572,24 +595,7 @@ void ServeEngine::RecoverFromStateDir() {
         "--inject spec");
   }
 
-  const ManifestTallies& t = m.tallies;
-  requests_ = t.requests;
-  parse_errors_ = t.parse_errors;
-  rejected_ = t.rejected;
-  bad_rows_ = t.bad_rows;
-  values_imputed_ = t.values_imputed;
-  train_rows_ = t.train_rows;
-  score_rows_ = t.score_rows;
-  snapshots_ = t.snapshots;
-  restores_ = t.restores;
-  drops_ = t.drops;
-  streams_created_ = t.streams_created;
-  windows_ = t.windows;
-  evictions_ = t.evictions;
-  warm_starts_ = t.warm_starts;
-  checkpoints_ = t.checkpoints;
-  injected_rows_ = t.injected_rows;
-  state_errors_ = t.state_errors;
+  tallies_ = m.tallies;
   next_checkpoint_seq_ = m.seq + 1;
 
   for (const ManifestStream& entry : m.streams) {
@@ -614,14 +620,11 @@ void ServeEngine::RecoverFromStateDir() {
         throw StateError("corrupt model archive for stream '" + entry.id +
                          "': " + e.what());
       }
-      if (model->num_classes() != config_.num_classes) {
-        throw StateError("stream '" + entry.id + "' archive has " +
-                         std::to_string(model->num_classes()) +
-                         " classes, engine " +
-                         std::to_string(config_.num_classes));
-      }
       Shard* shard = shards_[state.shard].get();
-      model->AttachTelemetry(&shard->telemetry);
+      const std::string mismatch = AttachIfFits(model.get(), config_, shard);
+      if (!mismatch.empty()) {
+        throw StateError("stream '" + entry.id + "' " + mismatch);
+      }
       state.model = std::move(model);
       ++shard->num_streams;
       *shard->resident_streams = static_cast<double>(shard->num_streams);
@@ -726,13 +729,11 @@ void ServeEngine::ProcessShard(Shard* shard, std::vector<Routed>* items) {
         try {
           std::unique_ptr<Classifier> loaded =
               serial::LoadClassifierFromFile(head->path);
-          if (loaded->num_classes() != config_.num_classes) {
-            responses_[head->slot] =
-                "ERR restore archive has " +
-                std::to_string(loaded->num_classes()) + " classes, engine " +
-                std::to_string(config_.num_classes);
+          const std::string mismatch =
+              AttachIfFits(loaded.get(), config_, shard);
+          if (!mismatch.empty()) {
+            responses_[head->slot] = "ERR restore " + mismatch;
           } else {
-            loaded->AttachTelemetry(&shard->telemetry);
             stream->model = std::move(loaded);
             *shard->restores += 1;
             responses_[head->slot] = "OK restore " + stream->id;
@@ -756,31 +757,15 @@ void ServeEngine::ExportTelemetry() {
 std::string ServeEngine::StatsLine() const {
   // Routing-time tallies only: everything here is a pure function of the
   // request sequence, so `stats` responses match at any shard count.
-  std::string line = "OK stats {";
-  const auto field = [&line](const char* name, std::uint64_t value,
-                             bool first = false) {
-    if (!first) line += ", ";
-    line += std::string("\"") + name + "\": " + std::to_string(value);
-  };
-  field("streams", streams_.size(), /*first=*/true);
-  field("resident_streams", resident_);
-  field("streams_created", streams_created_);
-  field("requests", requests_);
-  field("train_rows", train_rows_);
-  field("score_rows", score_rows_);
-  field("bad_rows", bad_rows_);
-  field("values_imputed", values_imputed_);
-  field("rejected", rejected_);
-  field("parse_errors", parse_errors_);
-  field("snapshots", snapshots_);
-  field("restores", restores_);
-  field("drops", drops_);
-  field("windows", windows_);
-  field("evictions", evictions_);
-  field("warm_starts", warm_starts_);
-  field("checkpoints", checkpoints_);
-  field("injected_rows", injected_rows_);
-  field("state_errors", state_errors_);
+  std::string line = "OK stats {\"streams\": " +
+                     std::to_string(streams_.size()) +
+                     ", \"resident_streams\": " + std::to_string(resident_);
+  for (const auto& [name, tally] : kStatsFields) {
+    line += ", \"";
+    line += name;
+    line += "\": ";
+    line += std::to_string(tallies_[tally]);
+  }
   line += "}";
   return line;
 }

@@ -47,6 +47,7 @@
 #include "dmt/serve/exporter.h"
 #include "dmt/serve/request.h"
 #include "dmt/serve/shard.h"
+#include "dmt/serve/state_dir.h"
 
 namespace dmt::serve {
 
@@ -146,8 +147,8 @@ class ServeEngine {
   std::size_t resident_streams() const { return resident_; }
   std::size_t num_shards() const { return shards_.size(); }
   const Shard& shard(std::size_t i) const { return *shards_[i]; }
-  std::uint64_t windows() const { return windows_; }
-  std::uint64_t checkpoints() const { return checkpoints_; }
+  std::uint64_t windows() const { return tallies_[kWindows]; }
+  std::uint64_t checkpoints() const { return tallies_[kCheckpoints]; }
 
  private:
   struct StreamState {
@@ -200,28 +201,12 @@ class ServeEngine {
 
   // Routing-time tallies (main thread only). StatsLine reports these, so
   // `stats` responses are shard-count-independent by construction.
-  std::uint64_t requests_ = 0;
-  std::uint64_t parse_errors_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t bad_rows_ = 0;
-  std::uint64_t values_imputed_ = 0;
-  std::uint64_t train_rows_ = 0;   // accepted at routing
-  std::uint64_t score_rows_ = 0;
-  std::uint64_t snapshots_ = 0;
-  std::uint64_t restores_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t streams_created_ = 0;
-  std::uint64_t windows_ = 0;
+  Tallies tallies_ = {};
   std::uint64_t exporter_flushes_ = 0;
 
   // Durability layer (main thread only; shards never touch it).
   std::size_t resident_ = 0;           // streams with a model in memory
   std::uint64_t next_checkpoint_seq_ = 1;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t warm_starts_ = 0;
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t injected_rows_ = 0;
-  std::uint64_t state_errors_ = 0;     // non-fatal durability failures
 };
 
 }  // namespace dmt::serve

@@ -57,14 +57,7 @@ void EncodeManifest(serial::Writer& writer, const Manifest& manifest) {
   writer.U64(manifest.seed);
   writer.U64(manifest.batch_window);
   for (const double rate : manifest.inject_rates) writer.F64(rate);
-  const ManifestTallies& t = manifest.tallies;
-  for (const std::uint64_t v :
-       {t.requests, t.parse_errors, t.rejected, t.bad_rows, t.values_imputed,
-        t.train_rows, t.score_rows, t.snapshots, t.restores, t.drops,
-        t.streams_created, t.windows, t.evictions, t.warm_starts,
-        t.checkpoints, t.injected_rows, t.state_errors}) {
-    writer.U64(v);
-  }
+  for (const std::uint64_t tally : manifest.tallies) writer.U64(tally);
   writer.Size(manifest.streams.size());
   for (const ManifestStream& stream : manifest.streams) {
     writer.Str(stream.id);
@@ -95,14 +88,7 @@ Manifest DecodeManifest(serial::Reader& reader) {
     serial::Check(rate >= 0.0 && rate <= 1.0,
                   "manifest inject rate out of [0,1]");
   }
-  ManifestTallies& t = manifest.tallies;
-  for (std::uint64_t* v :
-       {&t.requests, &t.parse_errors, &t.rejected, &t.bad_rows,
-        &t.values_imputed, &t.train_rows, &t.score_rows, &t.snapshots,
-        &t.restores, &t.drops, &t.streams_created, &t.windows, &t.evictions,
-        &t.warm_starts, &t.checkpoints, &t.injected_rows, &t.state_errors}) {
-    *v = reader.U64();
-  }
+  for (std::uint64_t& tally : manifest.tallies) tally = reader.U64();
   const std::size_t count = reader.Size(kMaxStreams);
   manifest.streams.reserve(std::min<std::size_t>(count, 4096));
   for (std::size_t i = 0; i < count; ++i) {

@@ -28,6 +28,7 @@
 #define DMT_SERVE_STATE_DIR_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -64,28 +65,32 @@ struct ManifestStream {
   std::string archive;
 };
 
-// Routing-time tallies, restored verbatim so `stats` responses continue
-// exactly where the checkpointed run left off. Field order is the wire
-// order.
-struct ManifestTallies {
-  std::uint64_t requests = 0;
-  std::uint64_t parse_errors = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t bad_rows = 0;
-  std::uint64_t values_imputed = 0;
-  std::uint64_t train_rows = 0;
-  std::uint64_t score_rows = 0;
-  std::uint64_t snapshots = 0;
-  std::uint64_t restores = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t streams_created = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t warm_starts = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t injected_rows = 0;
-  std::uint64_t state_errors = 0;
+// Routing-time tallies of the serving engine: the counters its `stats`
+// response reports, restored verbatim from a checkpoint so `stats`
+// continues exactly where the checkpointed run left off. Enumerator order
+// is the manifest wire order. Adding a tally takes one enumerator here,
+// one row in the engine's stats table and a serial format-version bump.
+enum Tally : std::size_t {
+  kRequests,
+  kParseErrors,
+  kRejected,
+  kBadRows,
+  kValuesImputed,
+  kTrainRows,  // accepted at routing
+  kScoreRows,
+  kSnapshots,
+  kRestores,
+  kDrops,
+  kStreamsCreated,
+  kWindows,
+  kEvictions,
+  kWarmStarts,
+  kCheckpoints,
+  kInjectedRows,
+  kStateErrors,  // non-fatal durability failures
+  kNumTallies
 };
+using Tallies = std::array<std::uint64_t, kNumTallies>;
 
 struct Manifest {
   std::uint64_t seq = 0;
@@ -101,7 +106,7 @@ struct Manifest {
   std::uint64_t batch_window = 0;
   // nan, inf, missing, flip, truncate rates of the --inject spec.
   std::array<double, 5> inject_rates = {0.0, 0.0, 0.0, 0.0, 0.0};
-  ManifestTallies tallies;
+  Tallies tallies = {};
   std::vector<ManifestStream> streams;
 };
 

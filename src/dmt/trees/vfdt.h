@@ -63,6 +63,7 @@ class Vfdt : public Classifier {
 
   void PartialFit(const Batch& batch) override;
   int num_classes() const override { return config_.num_classes; }
+  int num_features() const override { return config_.num_features; }
   void PredictProbaInto(std::span<const double> x,
                         std::span<double> out) const override;
   std::size_t NumSplits() const override;

@@ -353,6 +353,45 @@ TEST(ServeEngineTest, RestoreRollsBackToSnapshotState) {
   EXPECT_EQ(out[6], out[3]);
 }
 
+// Archive of an untrained model that is `width` features wide.
+std::string ArchiveOfWidth(serve::ModelFactory (*factory)(int, int),
+                           int width) {
+  return serial::SaveClassifierToString(*factory(width, 2)("other", 5));
+}
+
+// A model of another width must never be swapped in: scoring 2-wide rows
+// with it would read past the row (wider) or ignore part of it (narrower),
+// and a DMT would abort on its next train.
+TEST(ServeEngineTest, RestoreOfWrongWidthArchiveIsAnError) {
+  for (const auto factory : {&GlmFactory, &DmtFactory}) {
+    for (const int width : {4, 1}) {
+      const std::string path = ::testing::TempDir() + "serve_wrong_width.dmt";
+      std::ofstream(path, std::ios::binary | std::ios::trunc)
+          << ArchiveOfWidth(factory, width);
+      serve::ServeConfig config;
+      config.num_features = 2;
+      config.num_classes = 2;
+      config.factory = factory(2, 2);
+      serve::ServeEngine engine(config);
+      const std::vector<std::string> out = SplitLines(RunLines(
+          &engine, {"train u 0.1,0.9,1", "score u 0.4,0.6",
+                    "restore u " + path, "train u 0.9,0.1,0",
+                    "score u 0.4,0.6", "stats"}));
+      ASSERT_EQ(out.size(), 6u);
+      EXPECT_EQ(out[2], "ERR restore archive has " + std::to_string(width) +
+                            " features, engine 2");
+      // The live model kept serving.
+      EXPECT_EQ(out[3], "OK train u n=2");
+      EXPECT_EQ(out[4].rfind("OK score u pred=", 0), 0u) << out[4];
+      std::uint64_t restores = 0;
+      for (std::size_t s = 0; s < engine.num_shards(); ++s) {
+        restores += *engine.shard(s).restores;
+      }
+      EXPECT_EQ(restores, 0u);
+    }
+  }
+}
+
 TEST(ServeEngineTest, SnapshotOfUnknownStreamIsAnError) {
   serve::ServeConfig config;
   config.num_features = 1;
@@ -787,6 +826,66 @@ TEST(ServeDurabilityTest, CorruptManifestIsATypedRefusal) {
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   EXPECT_THROW(serve::ServeEngine engine(config), serve::StateError);
+}
+
+TEST(ServeDurabilityTest, WarmStartOfWrongWidthArchiveIsAnError) {
+  for (const auto factory : {&GlmFactory, &DmtFactory}) {
+    for (const int width : {4, 1}) {
+      serve::ServeConfig config;
+      config.num_features = 2;
+      config.num_classes = 2;
+      config.batch_window = 1;
+      config.state_dir = FreshStateDir("serve_warm_width");
+      config.max_streams = 1;
+      config.factory = factory(2, 2);
+      serve::ServeEngine engine(config);
+      std::ostringstream out;
+      engine.ServeLine("train u 0.1,0.9,1", out);
+      engine.ServeLine("train v 0.9,0.1,0", out);  // parks u
+      ASSERT_EQ(engine.resident_streams(), 1u);
+      serve::WriteEvictionArchive(config.state_dir, "u",
+                                  ArchiveOfWidth(factory, width));
+      engine.ServeLine("score u 0.4,0.6", out);
+      engine.ServeLine("score v 0.4,0.6", out);
+      const std::vector<std::string> lines = SplitLines(out.str());
+      ASSERT_EQ(lines.size(), 4u);
+      EXPECT_EQ(lines[2], "ERR warm_start u parked archive has " +
+                              std::to_string(width) + " features, engine 2");
+      EXPECT_EQ(lines[3].rfind("OK score v pred=", 0), 0u) << lines[3];
+    }
+  }
+}
+
+TEST(ServeDurabilityTest, RecoveryOfWrongWidthArchiveIsRefused) {
+  for (const auto factory : {&GlmFactory, &DmtFactory}) {
+    for (const int width : {4, 1}) {
+      serve::ServeConfig config;
+      config.num_features = 2;
+      config.num_classes = 2;
+      config.state_dir = FreshStateDir("serve_recover_width");
+      config.factory = factory(2, 2);
+      {
+        serve::ServeEngine engine(config);
+        std::ostringstream out;
+        engine.ServeLine("train u 0.1,0.9,1", out);
+        engine.Finish(out);  // writes the manifest
+      }
+      std::optional<serve::Manifest> manifest =
+          serve::LoadNewestManifest(config.state_dir);
+      ASSERT_TRUE(manifest.has_value());
+      ASSERT_EQ(manifest->streams.size(), 1u);
+      manifest->streams[0].archive = ArchiveOfWidth(factory, width);
+      serve::WriteManifest(config.state_dir, *manifest);
+      try {
+        serve::ServeEngine engine(config);
+        ADD_FAILURE() << "a " << width << "-feature archive was recovered";
+      } catch (const serve::StateError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "stream 'u' archive has " + std::to_string(width) +
+                      " features, engine 2");
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- fault injection

@@ -206,6 +206,18 @@ TEST_P(SnapshotConformanceTest, RoundTripContinuesBitIdentically) {
   EXPECT_EQ(SnapshotOf(*restored), SnapshotOf(*model)) << name;
 }
 
+// A decoded model reports the width it was built with; the serving
+// engine relies on this to refuse an archive that does not fit its rows.
+TEST_P(SnapshotConformanceTest, RoundTripKeepsRowWidth) {
+  const std::string name = GetParam();
+  std::unique_ptr<Classifier> model = Make(name, 5, 2);
+  EXPECT_EQ(model->num_features(), 5) << name;
+  std::unique_ptr<Classifier> restored = Restore(SnapshotOf(*model));
+  ASSERT_NE(restored, nullptr) << name;
+  EXPECT_EQ(restored->num_features(), 5) << name;
+  EXPECT_EQ(restored->num_classes(), 2) << name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, SnapshotConformanceTest,
                          ::testing::ValuesIn(kAllClassifiers));
 

@@ -53,13 +53,10 @@ serve::Manifest MakeManifest(std::uint64_t seq) {
   m.seed = 42;
   m.batch_window = 16;
   m.inject_rates = {0.1, 0.0, 0.25, 0.5, 1.0};
-  m.tallies.requests = 100;
-  m.tallies.train_rows = 60;
-  m.tallies.score_rows = 30;
-  m.tallies.windows = 7;
-  m.tallies.evictions = 2;
-  m.tallies.warm_starts = 1;
-  m.tallies.checkpoints = 3;
+  // Every tally distinct, so a swapped pair in the wire order shows.
+  for (std::size_t i = 0; i < serve::kNumTallies; ++i) {
+    m.tallies[i] = 100 + 7 * i;
+  }
 
   serve::ManifestStream alpha;
   alpha.id = "alpha";
@@ -99,11 +96,9 @@ TEST(StateDirTest, ManifestRoundTripPreservesEveryField) {
   EXPECT_EQ(loaded->seed, 42u);
   EXPECT_EQ(loaded->batch_window, 16u);
   EXPECT_EQ(loaded->inject_rates, written.inject_rates);
-  EXPECT_EQ(loaded->tallies.requests, 100u);
-  EXPECT_EQ(loaded->tallies.train_rows, 60u);
-  EXPECT_EQ(loaded->tallies.windows, 7u);
-  EXPECT_EQ(loaded->tallies.evictions, 2u);
-  EXPECT_EQ(loaded->tallies.checkpoints, 3u);
+  for (std::size_t i = 0; i < serve::kNumTallies; ++i) {
+    EXPECT_EQ(loaded->tallies[i], 100 + 7 * i) << "tally " << i;
+  }
   ASSERT_EQ(loaded->streams.size(), 2u);
   EXPECT_EQ(loaded->streams[0].id, "alpha");
   EXPECT_TRUE(loaded->streams[0].resident);
@@ -301,20 +296,20 @@ serve::ServeConfig GoldenServeConfig(const std::string& state_dir) {
 std::vector<std::string> GoldenServeScript(const std::string& snapshot) {
   std::vector<std::string> lines;
   for (int i = 0; i < 160; ++i) {
-    const std::string id = "s" + std::to_string((i / 6 + i % 3) % 7);
+    const int stream = (i / 6 + i % 3) % 7;
     std::ostringstream line;
     const double a = static_cast<double>((i * 37) % 100) / 100.0;
     const double b = static_cast<double>((i * 61) % 100) / 100.0;
     if (i % 29 == 11) {
-      line << "train " << id << " 0.5";  // arity error
+      line << "train s" << stream << " 0.5";  // arity error
     } else if (i % 11 == 5) {
-      line << "train " << id << " nan,nan," << i % 2;
+      line << "train s" << stream << " nan,nan," << i % 2;
     } else if (i % 17 == 3) {
-      line << "train " << id << ' ' << a << ',' << b << ",5";  // bad label
+      line << "train s" << stream << ' ' << a << ',' << b << ",5";  // bad label
     } else if (i % 5 == 2) {
-      line << "score " << id << ' ' << a << ',' << b;
+      line << "score s" << stream << ' ' << a << ',' << b;
     } else {
-      line << "train " << id << ' ' << a << ',' << b << ','
+      line << "train s" << stream << ' ' << a << ',' << b << ','
            << (a + b > 1.0 ? 1 : 0);
     }
     lines.push_back(line.str());

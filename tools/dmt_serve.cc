@@ -108,8 +108,8 @@ int DumpState(const std::string& state_dir) {
         "state seq=%llu windows=%llu requests=%llu streams=%zu "
         "resident=%zu model=%s\n",
         static_cast<unsigned long long>(manifest->seq),
-        static_cast<unsigned long long>(manifest->tallies.windows),
-        static_cast<unsigned long long>(manifest->tallies.requests),
+        static_cast<unsigned long long>(manifest->tallies[dmt::serve::kWindows]),
+        static_cast<unsigned long long>(manifest->tallies[dmt::serve::kRequests]),
         manifest->streams.size(), resident, manifest->model_kind.c_str());
     return 0;
   } catch (const dmt::serve::StateError& e) {
