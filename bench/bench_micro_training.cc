@@ -24,6 +24,15 @@
 // phase-timer breakdown (route/gather, model step, scatter, gain battery)
 // under each row for models that register phase timers (currently DMT).
 // Results are also written to BENCH_train.json (bench_json.h).
+//
+// When DMT is among the models, a cost sweep follows the dataset table:
+// the paper's per-update cost claim (Sec. IV-C) says a DMT node update is
+// O(m*n*c + m^2*v*c), so DMT is fit on one fixed 50-row batch at
+// (features m, classes c) in {(5,2), (20,2), (80,2), (20,6), (20,23)}.
+// Its BENCH_train.json rows carry the dataset labels "sweep-m<m>-c<c>",
+// which the committed baseline lacks, so check_perf_regression.py skips
+// them.
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -31,6 +40,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dmt/common/alloc_count.h"
@@ -62,6 +72,25 @@ struct Measurement {
   };
   std::vector<Phase> phases;
 };
+
+// Times one PartialFit call under the counting allocator, accumulating
+// into `m` (train_ns / train_allocs hold totals until Normalize).
+void TimedFit(Classifier* model, const Batch& batch, Measurement* m) {
+  alloc_count::Reset();
+  const auto t0 = std::chrono::steady_clock::now();
+  model->PartialFit(batch);
+  const auto t1 = std::chrono::steady_clock::now();
+  m->train_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+  m->train_allocs += static_cast<double>(alloc_count::allocations);
+  m->measured_samples += batch.size();
+}
+
+// Turns the totals of TimedFit into per-sample figures.
+void Normalize(Measurement* m) {
+  if (m->measured_samples == 0) return;
+  m->train_ns /= static_cast<double>(m->measured_samples);
+  m->train_allocs /= static_cast<double>(m->measured_samples);
+}
 
 // File-name-safe rendering matching the sweep harness's artifact naming.
 std::string SanitizeName(const std::string& name) {
@@ -105,25 +134,13 @@ Measurement MeasureModel(const std::string& name,
   }
 
   Measurement m;
-  double total_ns = 0.0;
-  std::size_t total_allocs = 0;
   while (true) {
     batch.clear();
     if (stream->FillBatch(batch_size, &batch) == 0) break;
     scaler.FitTransform(&batch);
-    alloc_count::Reset();
-    const auto t0 = std::chrono::steady_clock::now();
-    model->PartialFit(batch);
-    const auto t1 = std::chrono::steady_clock::now();
-    total_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
-    total_allocs += alloc_count::allocations;
-    m.measured_samples += batch.size();
+    TimedFit(model.get(), batch, &m);
   }
-  if (m.measured_samples > 0) {
-    m.train_ns = total_ns / static_cast<double>(m.measured_samples);
-    m.train_allocs = static_cast<double>(total_allocs) /
-                     static_cast<double>(m.measured_samples);
-  }
+  Normalize(&m);
   if (options.telemetry) {
     m.telemetry_counters_json = registry.CountersJson();
     // Snapshot the hot-path phase timers. Timer() creates-on-first-use, so
@@ -138,6 +155,33 @@ Measurement MeasureModel(const std::string& name,
     }
   }
   return m;
+}
+
+// One cell of the Sec. IV-C cost sweep: DMT at m features and c classes
+// fits the same 50-row batch (label mostly a function of x[0], so the
+// tree has signal to split on) samples/50 times, the first half untimed
+// as warm-up.
+Measurement MeasureDmtUpdate(int m, int c, const std::string& label,
+                             const Options& options) {
+  constexpr std::size_t kRows = 50;
+  const std::uint64_t seed = DeriveSeed(options.seed, "cost-sweep", label);
+  std::unique_ptr<Classifier> model =
+      MakeModel("DMT", m, c, seed, nullptr, &options);
+  Rng rng(seed);
+  Batch batch(static_cast<std::size_t>(m), kRows);
+  std::vector<double> x(static_cast<std::size_t>(m));
+  for (std::size_t i = 0; i < kRows; ++i) {
+    for (double& v : x) v = rng.Uniform();
+    batch.Add(x, x[0] > 0.5 ? 1 : rng.UniformInt(0, c - 1));
+  }
+  const std::size_t fits = std::max<std::size_t>(2, options.max_samples / kRows);
+  for (std::size_t i = 0; i < fits / 2; ++i) model->PartialFit(batch);
+  Measurement result;
+  for (std::size_t i = fits / 2; i < fits; ++i) {
+    TimedFit(model.get(), batch, &result);
+  }
+  Normalize(&result);
+  return result;
 }
 
 int Main(int argc, char** argv) {
@@ -192,6 +236,20 @@ int Main(int argc, char** argv) {
           std::fprintf(stderr, "cannot write %s\n", path.string().c_str());
         }
       }
+    }
+  }
+  if (std::find(models.begin(), models.end(), "DMT") != models.end()) {
+    std::printf("DMT update cost sweep (Sec. IV-C), one 50-row batch:\n");
+    for (const auto [m, c] : {std::pair{5, 2}, std::pair{20, 2},
+                              std::pair{80, 2}, std::pair{20, 6},
+                              std::pair{20, 23}}) {
+      const std::string label =
+          "sweep-m" + std::to_string(m) + "-c" + std::to_string(c);
+      const Measurement result = MeasureDmtUpdate(m, c, label, options);
+      std::printf("%-14s %-10s %16.1f %18.3f\n", label.c_str(), "DMT",
+                  result.train_ns, result.train_allocs);
+      json.AddResult(label, "DMT", {{"ns_per_sample", result.train_ns},
+                                    {"allocs_per_sample", result.train_allocs}});
     }
   }
   json.WriteTo("BENCH_train.json");
