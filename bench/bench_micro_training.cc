@@ -174,7 +174,8 @@ Measurement MeasureDmtUpdate(int m, int c, const std::string& label,
     for (double& v : x) v = rng.Uniform();
     batch.Add(x, x[0] > 0.5 ? 1 : rng.UniformInt(0, c - 1));
   }
-  const std::size_t fits = std::max<std::size_t>(2, options.max_samples / kRows);
+  const std::size_t fits =
+      std::max<std::size_t>(2, options.max_samples / kRows);
   for (std::size_t i = 0; i < fits / 2; ++i) model->PartialFit(batch);
   Measurement result;
   for (std::size_t i = fits / 2; i < fits; ++i) {
@@ -240,16 +241,17 @@ int Main(int argc, char** argv) {
   }
   if (std::find(models.begin(), models.end(), "DMT") != models.end()) {
     std::printf("DMT update cost sweep (Sec. IV-C), one 50-row batch:\n");
-    for (const auto [m, c] : {std::pair{5, 2}, std::pair{20, 2},
-                              std::pair{80, 2}, std::pair{20, 6},
-                              std::pair{20, 23}}) {
+    for (const auto& [m, c] : {std::pair{5, 2}, std::pair{20, 2},
+                               std::pair{80, 2}, std::pair{20, 6},
+                               std::pair{20, 23}}) {
       const std::string label =
           "sweep-m" + std::to_string(m) + "-c" + std::to_string(c);
       const Measurement result = MeasureDmtUpdate(m, c, label, options);
       std::printf("%-14s %-10s %16.1f %18.3f\n", label.c_str(), "DMT",
                   result.train_ns, result.train_allocs);
-      json.AddResult(label, "DMT", {{"ns_per_sample", result.train_ns},
-                                    {"allocs_per_sample", result.train_allocs}});
+      json.AddResult(label, "DMT",
+                     {{"ns_per_sample", result.train_ns},
+                      {"allocs_per_sample", result.train_allocs}});
     }
   }
   json.WriteTo("BENCH_train.json");

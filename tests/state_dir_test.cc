@@ -2,7 +2,8 @@
 // manifest round trips, newest-complete selection, pruning, and the
 // corruption contract -- a truncated, bit-flipped, version-skewed or
 // foreign file always surfaces as a typed StateError, never UB, abort or
-// a silently wrong recovery.
+// a silently wrong recovery -- plus the manifest bytes and `stats` text of
+// one engine session, pinned against goldens.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
