@@ -604,29 +604,29 @@ TEST(SnapshotDecodeHeaderTest, RegressorLoadRejectsForeignAndTruncated) {
     std::istringstream in(bytes, std::ios::binary);
     EXPECT_THROW(serial::LoadClassifier(in), serial::SerialError);
   }
-  const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 64);
-  for (std::size_t cut = 0; cut < bytes.size(); cut += stride) {
-    std::istringstream in(bytes.substr(0, cut), std::ios::binary);
-    EXPECT_THROW(core::DmtRegressor::Load(in), serial::SerialError)
-        << "truncated at " << cut;
-  }
+  trees::FimtDdRegressor fimtdd({.num_features = 2});
+  fimtdd.PartialFit(batch);
+  std::ostringstream fimtdd_out(std::ios::binary);
+  fimtdd.Save(fimtdd_out);
+  auto expect_truncations_throw = [](const std::string& archive, auto load) {
+    const std::size_t stride = std::max<std::size_t>(1, archive.size() / 64);
+    for (std::size_t cut = 0; cut < archive.size(); cut += stride) {
+      std::istringstream in(archive.substr(0, cut), std::ios::binary);
+      EXPECT_THROW(load(in), serial::SerialError) << "truncated at " << cut;
+    }
+  };
+  expect_truncations_throw(
+      bytes, [](std::istream& in) { return core::DmtRegressor::Load(in); });
+  expect_truncations_throw(fimtdd_out.str(), [](std::istream& in) {
+    return trees::FimtDdRegressor::Load(in);
+  });
 }
 
-TEST(SnapshotDecodeHeaderTest, RegressorBitFlipsNeverEscapeSerialError) {
-  // The DMT-R config tail and node records are decoded by the shared tree
-  // core: a flipped byte must decode or throw SerialError, never abort.
-  core::DmtRegressor model({.num_features = 2});
-  Rng rng(72);
-  for (int b = 0; b < 6; ++b) {
-    linear::RegressionBatch batch(2);
-    FillRegression(&rng, &batch, 2, 150, b >= 4);
-    model.PartialFit(batch);
-  }
-  std::ostringstream out(std::ios::binary);
-  model.Save(out);
-  const std::string bytes = out.str();
-  // Every bit of the header and config region, then a stride across the
-  // node records.
+// Flips every bit of the header and config region of `bytes`, then one bit
+// at a stride across the node records; `load` must decode each mutant or
+// throw SerialError, never abort.
+template <typename Load>
+void ExpectBitFlipsDecodeOrThrow(const std::string& bytes, Load load) {
   std::vector<std::pair<std::size_t, int>> flips;
   for (std::size_t i = 0; i < 128 && i < bytes.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) flips.emplace_back(i, bit);
@@ -640,10 +640,33 @@ TEST(SnapshotDecodeHeaderTest, RegressorBitFlipsNeverEscapeSerialError) {
     mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
     std::istringstream in(mutated, std::ios::binary);
     try {
-      core::DmtRegressor::Load(in);
+      load(in);
     } catch (const serial::SerialError&) {
     }
   }
+}
+
+TEST(SnapshotDecodeHeaderTest, RegressorBitFlipsNeverEscapeSerialError) {
+  // Both regressors: a flipped config or node-record byte must decode or
+  // throw SerialError, never abort.
+  core::DmtRegressor model({.num_features = 2});
+  trees::FimtDdRegressor fimtdd({.num_features = 2});
+  Rng rng(72);
+  for (int b = 0; b < 6; ++b) {
+    linear::RegressionBatch batch(2);
+    FillRegression(&rng, &batch, 2, 150, b >= 4);
+    model.PartialFit(batch);
+    fimtdd.PartialFit(batch);
+  }
+  std::ostringstream out(std::ios::binary);
+  model.Save(out);
+  ExpectBitFlipsDecodeOrThrow(
+      out.str(), [](std::istream& in) { core::DmtRegressor::Load(in); });
+  std::ostringstream fimtdd_out(std::ios::binary);
+  fimtdd.Save(fimtdd_out);
+  ExpectBitFlipsDecodeOrThrow(fimtdd_out.str(), [](std::istream& in) {
+    trees::FimtDdRegressor::Load(in);
+  });
 }
 
 // --- Golden archives: the pinned on-disk format ---------------------------
@@ -734,6 +757,36 @@ TEST(RegressorGoldenArchiveTest, DmtRegressorPinnedFormatReproduces) {
   std::istringstream decode(golden, std::ios::binary);
   ASSERT_NE(core::DmtRegressor::Load(decode), nullptr);
   ExpectGoldenBytes("DMT-R", bytes, golden);
+}
+
+// FIMT-DD-R flips the sign of its target every 3,000 of 9,000 rows, so the
+// pinned archive holds grown subtrees as well as Page-Hinkley prunes.
+TEST(RegressorGoldenArchiveTest, FimtDdRegressorPinnedFormatReproduces) {
+  trees::FimtDdRegressor model({.num_features = 3});
+  Rng rng(91);
+  for (int b = 0; b < 60; ++b) {
+    const double sign = (b / 20) % 2 == 0 ? 1.0 : -1.0;
+    linear::RegressionBatch batch(3);
+    for (int i = 0; i < 150; ++i) {
+      std::vector<double> x(3);
+      for (double& v : x) v = rng.Uniform();
+      batch.Add(x, sign * (2.0 * x[0] - x[1] + (x[0] > 0.5)) +
+                       0.01 * rng.Gaussian());
+    }
+    model.PartialFit(batch);
+  }
+  EXPECT_GE(model.NumPrunes(), 1u);
+  EXPECT_GE(model.NumInnerNodes(), 1u);
+  std::ostringstream out(std::ios::binary);
+  model.Save(out);
+  const std::string bytes = out.str();
+  std::string golden;
+  ReadOrUpdateGolden("FIMT-DD-R", bytes, &golden);
+  if (IsSkipped() || HasFailure()) return;
+
+  std::istringstream decode(golden, std::ios::binary);
+  ASSERT_NE(trees::FimtDdRegressor::Load(decode), nullptr);
+  ExpectGoldenBytes("FIMT-DD-R", bytes, golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, GoldenArchiveTest,

@@ -5,6 +5,7 @@
 
 #include "dmt/common/random.h"
 #include "dmt/common/types.h"
+#include "dmt/obs/telemetry.h"
 #include "dmt/streams/sea.h"
 #include "dmt/trees/efdt.h"
 #include "dmt/trees/fimtdd.h"
@@ -355,6 +356,35 @@ TEST(FimtDdTest, PageHinkleyPrunesAfterDrift) {
     tree.PartialFit(batch);
   }
   EXPECT_GE(tree.NumPrunes(), 1u);
+}
+
+TEST(FimtDdTest, TelemetryMatchesStructuralCounters) {
+  obs::TelemetryRegistry registry;
+  FimtDd tree({.num_features = 2,
+               .num_classes = 2,
+               .page_hinkley = {.min_instances = 30,
+                                .delta = 0.005,
+                                .threshold = 10.0,
+                                .alpha = 0.9999}});
+  tree.AttachTelemetry(&registry);
+  Rng rng(14);
+  for (int b = 0; b < 40; ++b) {
+    Batch batch(2);
+    for (int i = 0; i < 500; ++i) {
+      std::vector<double> x = {rng.Uniform(), rng.Uniform()};
+      const bool left = x[0] <= 0.5;
+      batch.Add(x, (b < 20) == left ? 0 : 1);
+    }
+    tree.PartialFit(batch);
+  }
+  const std::uint64_t attempts = *registry.Counter("fimtdd.split_attempts");
+  const std::uint64_t splits = *registry.Counter("fimtdd.splits");
+  EXPECT_GE(tree.NumPrunes(), 1u);
+  EXPECT_EQ(*registry.Counter("fimtdd.prunes"), tree.NumPrunes());
+  EXPECT_GE(attempts, splits);
+  EXPECT_GE(splits, tree.NumInnerNodes());
+  EXPECT_GT(tree.NumInnerNodes(), 0u);
+  EXPECT_GT(*registry.Counter("ph.resets"), 0u);
 }
 
 TEST(FimtDdTest, ComplexityCountsModelLeaves) {
