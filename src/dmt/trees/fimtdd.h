@@ -1,12 +1,17 @@
 // FIMT-DD (Ikonomovska, Gama & Dzeroski, 2011), adapted for classification
 // exactly as in the paper (Sec. VI-C, footnote 2): the original algorithm is
-// a regression model tree, so the class index serves as the numeric target
-// for the standard-deviation-reduction (SDR) split criterion, leaves carry
-// incremental GLM models (learning rate 0.01) for prediction, splits are
-// accepted through a Hoeffding-bound ratio test (confidence threshold 0.01,
-// tie threshold 0.05), and a per-node Page-Hinkley test implements the
-// authors' second drift adjustment strategy: subtrees are deleted where the
-// test alerts.
+// a regression model tree, so the one-hot label serves as the numeric
+// target of the standard-deviation-reduction (SDR) split criterion, leaves
+// carry incremental GLM models (learning rate 0.01) for prediction, splits
+// are accepted through a Hoeffding-bound ratio test (confidence threshold
+// 0.01, tie threshold 0.05), and a per-node Page-Hinkley test on the 0/1
+// error implements the authors' second drift adjustment strategy: subtrees
+// are deleted where the test alerts.
+//
+// The algorithm lives in the FIMT-DD core (fimtdd_tree.h), shared with the
+// regression FimtDdRegressor; this adapter adds the Classifier interface,
+// the paper's counting rules and the "fimtdd.*" telemetry. The
+// classification adaptation itself is ClassTarget.
 //
 // Contrast with the Dynamic Model Tree (Sec. V-D of the paper): FIMT-DD
 // relies on a purity measure plus Hoeffding's inequality, needs an explicit
@@ -18,13 +23,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "dmt/common/classifier.h"
-#include "dmt/common/random.h"
 #include "dmt/drift/page_hinkley.h"
-#include "dmt/linear/glm.h"
-#include "dmt/trees/split_criteria.h"
+#include "dmt/trees/fimtdd_tree.h"
 
 namespace dmt::trees {
 
@@ -46,7 +48,7 @@ struct FimtDdConfig {
   std::uint64_t seed = 42;
 };
 
-class FimtDd : public Classifier {
+class FimtDd : public Classifier, public FimtDdTree<ClassTarget> {
  public:
   explicit FimtDd(const FimtDdConfig& config);
   ~FimtDd() override;
@@ -59,17 +61,13 @@ class FimtDd : public Classifier {
   std::size_t NumSplits() const override;
   std::size_t NumParameters() const override;
   std::string name() const override { return "FIMT-DD"; }
+  // TrainInstance, NumInnerNodes, NumLeaves and NumPrunes are inherited
+  // from FimtDdTree.
 
-  std::size_t NumInnerNodes() const;
-  std::size_t NumLeaves() const;
-  std::size_t NumPrunes() const { return num_prunes_; }
-
-  void TrainInstance(std::span<const double> x, int y);
-
-  // Caches "fimtdd.*" counters and the shared "ph.resets" destination the
-  // per-node Page-Hinkley tests bind to (existing nodes are re-bound by a
-  // tree walk; nodes created later bind at construction).
-  void AttachTelemetry(obs::TelemetryRegistry* registry) override;
+  // "fimtdd.*" and "ph.resets" counters; see FimtDdTree::BindTelemetry.
+  void AttachTelemetry(obs::TelemetryRegistry* registry) override {
+    BindTelemetry(registry);
+  }
 
   // --- Persistence (binary archive; see serial/archive.h) ---
   // Config, prune count, recursive node records (SDR histograms, leaf GLM
@@ -79,22 +77,6 @@ class FimtDd : public Classifier {
   static std::unique_ptr<FimtDd> Load(std::istream& in);
   void SaveBody(serial::Writer& writer) const;
   static std::unique_ptr<FimtDd> LoadBody(serial::Reader& reader);
-
- private:
-  struct Node;
-
-  void AttemptSplit(Node* leaf);
-  void BindNodeTelemetry(Node* node);
-
-  FimtDdConfig config_;
-  Rng rng_;
-  std::unique_ptr<Node> root_;
-  std::size_t num_prunes_ = 0;
-  // Telemetry destinations, null until AttachTelemetry.
-  std::uint64_t* split_attempts_counter_ = nullptr;
-  std::uint64_t* splits_counter_ = nullptr;
-  std::uint64_t* prunes_counter_ = nullptr;
-  std::uint64_t* ph_resets_counter_ = nullptr;
 };
 
 }  // namespace dmt::trees

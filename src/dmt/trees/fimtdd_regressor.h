@@ -6,6 +6,10 @@
 // deletes the subtree on alert (the drift adjustment strategy the paper's
 // classification adaptation also uses).
 //
+// The algorithm lives in the FIMT-DD core (fimtdd_tree.h), shared with the
+// classifier FimtDd; this adapter runs it with NumericTarget and adds the
+// regression API, the counting rules and the archive tag.
+//
 // This is the natural head-to-head competitor of the regression Dynamic
 // Model Tree (core/dmt_regressor.h).
 #ifndef DMT_TREES_FIMTDD_REGRESSOR_H_
@@ -15,12 +19,12 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
-#include "dmt/common/random.h"
 #include "dmt/drift/page_hinkley.h"
 #include "dmt/linear/linear_regressor.h"
+#include "dmt/trees/fimtdd_tree.h"
 
 namespace dmt::trees {
 
@@ -37,22 +41,20 @@ struct FimtDdRegressorConfig {
   std::uint64_t seed = 42;
 };
 
-class FimtDdRegressor {
+class FimtDdRegressor : public FimtDdTree<NumericTarget> {
  public:
   explicit FimtDdRegressor(const FimtDdRegressorConfig& config);
-  ~FimtDdRegressor();
 
   void PartialFit(const linear::RegressionBatch& batch);
-  void TrainInstance(std::span<const double> x, double y);
-  double Predict(std::span<const double> x) const;
+  double Predict(std::span<const double> x) const {
+    return LeafModel(x).Predict(x);
+  }
 
   std::size_t NumSplits() const;
   std::size_t NumParameters() const;
   std::string name() const { return "FIMT-DD-R"; }
-
-  std::size_t NumInnerNodes() const;
-  std::size_t NumLeaves() const;
-  std::size_t NumPrunes() const { return num_prunes_; }
+  // TrainInstance, NumInnerNodes, NumLeaves and NumPrunes are inherited
+  // from FimtDdTree.
 
   // --- Persistence (binary archive; see serial/archive.h) ---
   // Config, prune count, recursive node records (target histograms, leaf
@@ -60,16 +62,6 @@ class FimtDdRegressor {
   // last so Load restores it after construction-time weight draws.
   void Save(std::ostream& out) const;
   static std::unique_ptr<FimtDdRegressor> Load(std::istream& in);
-
- private:
-  struct Node;
-
-  void AttemptSplit(Node* leaf);
-
-  FimtDdRegressorConfig config_;
-  Rng rng_;
-  std::unique_ptr<Node> root_;
-  std::size_t num_prunes_ = 0;
 };
 
 }  // namespace dmt::trees

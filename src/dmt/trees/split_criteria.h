@@ -21,9 +21,7 @@ double Entropy(std::span<const double> class_counts);
 double InfoGain(std::span<const double> parent, std::span<const double> left,
                 std::span<const double> right);
 
-// Standard deviation reduction for a numeric target split:
-//   sd(parent) - (n_l/n) sd(left) - (n_r/n) sd(right),
-// from sufficient statistics (count, sum, sum of squares).
+// Sufficient statistics (count, sum, sum of squares) of a numeric target.
 struct TargetStats {
   double n = 0.0;
   double sum = 0.0;
@@ -42,8 +40,17 @@ struct TargetStats {
   double StdDev() const;
 };
 
-double StdDevReduction(const TargetStats& parent, const TargetStats& left,
-                       const TargetStats& right);
+// Standard deviation reduction of a binary split:
+//   sd(parent) - (n_l/n) sd(left) - (n_r/n) sd(right),
+// for any statistic with a count `n` and a StdDev(): TargetStats, or the
+// per-class counts of FIMT-DD's classification adaptation.
+template <typename Stats>
+double StdDevReduction(const Stats& parent, const Stats& left,
+                       const Stats& right) {
+  if (parent.n <= 0.0) return 0.0;
+  return parent.StdDev() - (left.n / parent.n) * left.StdDev() -
+         (right.n / parent.n) * right.StdDev();
+}
 
 }  // namespace dmt::trees
 

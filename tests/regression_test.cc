@@ -197,7 +197,8 @@ RegressionBatch MakeDriftingBatch(Rng* rng, int n, bool drifted) {
   return batch;
 }
 
-std::string ArchiveOf(const core::DmtRegressor& tree) {
+template <typename Tree>
+std::string ArchiveOf(const Tree& tree) {
   std::ostringstream out(std::ios::binary);
   tree.Save(out);
   return out.str();
@@ -347,6 +348,34 @@ TEST(FimtDdRegressorTest, LearnsPiecewiseTarget) {
     mae += std::abs(tree.Predict(test.row(i)) - test.target(i));
   }
   EXPECT_LT(mae / 400.0, 0.5);
+}
+
+TEST(FimtDdRegressorTest, NonFiniteRowsLeaveTheStateOfTheirRemoval) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  trees::FimtDdRegressor dirty({.num_features = 2});
+  trees::FimtDdRegressor clean({.num_features = 2});
+  Rng rng(13);
+  for (int b = 0; b < 120; ++b) {
+    const RegressionBatch batch = MakeDriftingBatch(&rng, 150, b >= 40);
+    RegressionBatch contaminated(2);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      // A NaN or Inf in a feature or in the target, then the usable row.
+      switch (i % 10) {
+        case 0: contaminated.Add(std::vector<double>{nan, 0.5}, 1.0); break;
+        case 3: contaminated.Add(std::vector<double>{0.5, -inf}, 1.0); break;
+        case 6: contaminated.Add(std::vector<double>{0.5, 0.5}, nan); break;
+        case 9: contaminated.Add(std::vector<double>{0.5, 0.5}, inf); break;
+        default: break;
+      }
+      contaminated.Add(batch.row(i), batch.target(i));
+    }
+    dirty.PartialFit(contaminated);
+    clean.PartialFit(batch);
+  }
+  EXPECT_GE(clean.NumInnerNodes(), 1u);
+  EXPECT_GE(clean.NumPrunes(), 1u);
+  EXPECT_EQ(ArchiveOf(dirty), ArchiveOf(clean));
 }
 
 TEST(RegressionPrequentialTest, DmtRegressorImprovesOnFried) {
