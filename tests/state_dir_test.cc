@@ -2,8 +2,8 @@
 // manifest round trips, newest-complete selection, pruning, and the
 // corruption contract -- a truncated, bit-flipped, version-skewed or
 // foreign file always surfaces as a typed StateError, never UB, abort or
-// a silently wrong recovery -- plus the manifest bytes and `stats` text of
-// one engine session, pinned against goldens.
+// a silently wrong recovery -- plus the manifest bytes, `stats` text and full
+// response transcript of one engine session, pinned against goldens.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -262,8 +262,9 @@ TEST(StateDirTest, EvictionFileNamesAreSafeAndDistinct) {
 
 // ------------------------------------------------- pinned engine state
 //
-// bench/goldens/serve_manifest.dmtm and serve_stats.txt pin the manifest
-// bytes and the `stats` text of one fixed GLM session that reaches every
+// bench/goldens/serve_manifest.dmtm, serve_stats.txt and
+// serve_transcript.txt pin the manifest bytes, the `stats` text and every
+// response line of one fixed GLM session that reaches every
 // routing tally except state_errors, each with a different value, so a
 // swap of two tallies in the wire order or in the stats line changes
 // bytes. After an intentional format change, bump the serial format
@@ -339,6 +340,16 @@ std::string StatsLinesOf(const std::string& responses) {
   return stats;
 }
 
+// `text` with every occurrence of the machine-specific `path` replaced by
+// "<snapshot>", so the pinned transcript does not depend on the temp dir.
+std::string WithPlaceholder(std::string text, const std::string& path) {
+  for (std::size_t at = text.find(path); at != std::string::npos;
+       at = text.find(path, at)) {
+    text.replace(at, path.size(), "<snapshot>");
+  }
+  return text;
+}
+
 TEST(StateDirTest, PinnedServeStateMatchesGoldens) {
   const std::string dir = FreshDir("state_golden");
   const std::string snapshot = FreshDir("state_golden_snap") + "/s.dmts";
@@ -362,17 +373,25 @@ TEST(StateDirTest, PinnedServeStateMatchesGoldens) {
   const std::string manifest =
       ReadFileBytes(dir + "/" + serve::ManifestFileName(seq));
   const std::string stats = StatsLinesOf(out.str());
+  const std::string transcript = WithPlaceholder(out.str(), snapshot);
 
   std::string golden_manifest;
   std::string golden_stats;
+  std::string golden_transcript;
   testgolden::ReadOrUpdateGolden("serve_manifest.dmtm", manifest,
                                  &golden_manifest);
   testgolden::ReadOrUpdateGolden("serve_stats.txt", stats, &golden_stats);
+  testgolden::ReadOrUpdateGolden("serve_transcript.txt", transcript,
+                                 &golden_transcript);
   if (IsSkipped() || HasFailure()) return;
   EXPECT_EQ(manifest, golden_manifest)
       << "manifest bytes changed; bump the serial format version and "
          "regenerate the goldens (see comment above)";
   EXPECT_EQ(stats, golden_stats);
+  // Every response line, not only `stats`: a change that alters responses
+  // identically at every shard count passes the --shards 1 vs 4 compare
+  // but not this one.
+  EXPECT_EQ(transcript, golden_transcript);
 
   // The committed manifest recovers, and the recovered engine's first
   // stats line continues the numbering where the session stopped.
