@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <sstream>
+#include <streambuf>
 #include <string_view>
 
 #include <sys/socket.h>
@@ -14,6 +15,30 @@
 namespace dmt::serve {
 
 namespace {
+
+// Response bytes buffered between reads. Unlike std::ostringstream there
+// is no str() copy and clearing keeps the capacity, so a warm bridge does
+// not allocate per chunk.
+class PendingBuffer : public std::streambuf {
+ public:
+  std::string& text() { return text_; }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    text_.push_back(traits_type::to_char_type(ch));
+    return ch;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    text_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+
+ private:
+  std::string text_;
+};
 
 // EINTR-aware full write; false means the peer is gone (further responses
 // have nowhere to go).
@@ -31,12 +56,11 @@ bool WriteAll(int fd, const std::string& data) {
   return true;
 }
 
-// Moves buffered response bytes out to the fd and resets the buffer.
-bool Drain(std::ostringstream* pending, int out_fd) {
-  std::string text = pending->str();
-  if (text.empty()) return true;
-  pending->str(std::string());
-  return WriteAll(out_fd, text);
+// Moves buffered response bytes out to the fd and empties the buffer.
+bool Drain(PendingBuffer* pending, int out_fd) {
+  const bool ok = WriteAll(out_fd, pending->text());
+  pending->text().clear();
+  return ok;
 }
 
 }  // namespace
@@ -44,7 +68,8 @@ bool Drain(std::ostringstream* pending, int out_fd) {
 int RunLineProtocol(ServeEngine* engine, int in_fd, int out_fd,
                     const volatile std::sig_atomic_t* stop,
                     bool flush_when_idle) {
-  std::ostringstream pending;
+  PendingBuffer pending_buffer;
+  std::ostream pending(&pending_buffer);
   std::string buffer;
   char chunk[4096];
   bool ok = true;
@@ -74,7 +99,7 @@ int RunLineProtocol(ServeEngine* engine, int in_fd, int out_fd,
       // everything received instead of waiting for the window to fill.
       engine->Flush(pending);
     }
-    if (!Drain(&pending, out_fd)) {
+    if (!Drain(&pending_buffer, out_fd)) {
       ok = false;
       break;
     }
@@ -84,7 +109,7 @@ int RunLineProtocol(ServeEngine* engine, int in_fd, int out_fd,
   // fully received and serving half a request would be worse than none.
   if (eof && !buffer.empty()) engine->ServeLine(buffer, pending);
   engine->Flush(pending);
-  if (!Drain(&pending, out_fd)) ok = false;
+  if (!Drain(&pending_buffer, out_fd)) ok = false;
   return ok ? 0 : 1;
 }
 

@@ -1,6 +1,7 @@
 #include "dmt/serve/engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <future>
@@ -23,7 +24,7 @@ namespace {
 // process restarts and shard-count changes only because its *seed* comes
 // from DeriveSeed(engine seed, id), but its shard home may legitimately
 // move when num_shards changes.
-std::size_t ShardOf(const std::string& id, std::size_t num_shards) {
+std::size_t ShardOf(std::string_view id, std::size_t num_shards) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : id) {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
@@ -32,10 +33,18 @@ std::size_t ShardOf(const std::string& id, std::size_t num_shards) {
   return static_cast<std::size_t>(SplitMix64(h) % num_shards);
 }
 
+void AppendDecimal(std::string* out, std::uint64_t value) {
+  char buffer[20];
+  out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
+
+// The bytes of printf("%.10g", value): to_chars with a precision is
+// specified as printf with the matching conversion.
 void AppendG(std::string* out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", value);
-  out->append(buffer);
+  char buffer[32];
+  out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 10)
+                          .ptr);
 }
 
 // Textual mt19937_64 state (the standard's portable stream format), so a
@@ -111,7 +120,7 @@ ServeEngine::ServeEngine(ServeConfig config) : config_(std::move(config)) {
         Batch(static_cast<std::size_t>(config_.num_features));
     shards_.push_back(std::move(shard));
   }
-  shard_queues_.resize(config_.num_shards);
+  work_.resize(config_.num_shards);
   if (config_.num_shards > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_shards);
   }
@@ -133,13 +142,14 @@ ServeEngine::ServeEngine(ServeConfig config) : config_(std::move(config)) {
 ServeEngine::~ServeEngine() = default;
 
 ServeEngine::StreamState* ServeEngine::FindOrCreateStream(
-    const std::string& id, std::string* error) {
-  const auto it = streams_.find(id);
+    std::string_view id_view, std::string* error) {
+  const auto it = streams_.find(id_view);
   if (it != streams_.end()) {
     StreamState* stream = &it->second;
     if (stream->model == nullptr && !WarmStart(stream, error)) return nullptr;
     return stream;
   }
+  const std::string id(id_view);
   StreamState state;
   state.id = id;
   state.shard = ShardOf(id, shards_.size());
@@ -240,19 +250,25 @@ void ServeEngine::InjectFaults(Request* request, StreamState* stream) {
   if (injected) ++tallies_[kInjectedRows];
 }
 
-void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
-  if (request.verb == Verb::kStats) {
-    responses_[slot] = StatsLine();
+void ServeEngine::RouteRequest(Request* request, std::size_t slot) {
+  // The slot is empty (ServeLine cleared it); responses append into it.
+  std::string& response = responses_[slot];
+  if (request->verb == Verb::kStats) {
+    AppendStatsLine(&response);
     return;
   }
-  if (request.verb == Verb::kSnapshot && !streams_.count(request.stream_id)) {
-    responses_[slot] = "ERR unknown_stream " + request.stream_id;
+  if (request->verb == Verb::kSnapshot &&
+      !streams_.contains(request->stream_id)) {
+    response.append("ERR unknown_stream ").append(request->stream_id);
     return;
   }
   std::string warm_error;
-  StreamState* stream = FindOrCreateStream(request.stream_id, &warm_error);
+  StreamState* stream = FindOrCreateStream(request->stream_id, &warm_error);
   if (stream == nullptr) {
-    responses_[slot] = "ERR warm_start " + request.stream_id + " " + warm_error;
+    response.append("ERR warm_start ")
+        .append(request->stream_id)
+        .append(" ")
+        .append(warm_error);
     return;
   }
   // Touch bookkeeping for LRU/TTL eviction: the request ordinal is unique,
@@ -263,31 +279,31 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
   Shard* shard = shards_[stream->shard].get();
 
   if (config_.inject.any() &&
-      (request.verb == Verb::kTrain || request.verb == Verb::kScore)) {
-    InjectFaults(&request, stream);
+      (request->verb == Verb::kTrain || request->verb == Verb::kScore)) {
+    InjectFaults(request, stream);
   }
 
   // Bad-input policy, applied at routing so every request's response is
   // fully determined by the request sequence. Train rows carry the label
   // as the last value; a bad label can never be imputed.
-  if (request.verb == Verb::kTrain || request.verb == Verb::kScore) {
+  if (request->verb == Verb::kTrain || request->verb == Verb::kScore) {
     const std::size_t features = static_cast<std::size_t>(
         config_.num_features);
     double bad_value = 0.0;
     bool row_bad = false;
     for (std::size_t i = 0; i < features; ++i) {
-      if (!std::isfinite(request.values[i])) {
-        bad_value = request.values[i];
+      if (!std::isfinite(request->values[i])) {
+        bad_value = request->values[i];
         row_bad = true;
         if (config_.bad_input_policy == BadInputPolicy::kImputeMidpoint) {
-          request.values[i] = 0.0;
+          request->values[i] = 0.0;
           ++tallies_[kValuesImputed];
         }
       }
     }
     bool label_bad = false;
-    if (request.verb == Verb::kTrain) {
-      const double label = request.values.back();
+    if (request->verb == Verb::kTrain) {
+      const double label = request->values.back();
       label_bad = !std::isfinite(label) || label != std::floor(label) ||
                   label < 0.0 ||
                   label >= static_cast<double>(config_.num_classes);
@@ -297,19 +313,19 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
       *shard->bad_rows += 1;
       // The gauge holds the offending value verbatim -- possibly NaN/Inf;
       // the JSON exporter must render it as null, not as bare `nan`.
-      *shard->last_bad_value = label_bad ? request.values.back() : bad_value;
+      *shard->last_bad_value = label_bad ? request->values.back() : bad_value;
     }
     const bool drop_row =
         label_bad || (row_bad && config_.bad_input_policy !=
                                      BadInputPolicy::kImputeMidpoint);
     if (drop_row) {
-      const char* what = request.verb == Verb::kTrain ? "train" : "score";
+      const char* what = request->verb == Verb::kTrain ? "train" : "score";
       if (config_.bad_input_policy == BadInputPolicy::kThrow) {
-        responses_[slot] =
-            "ERR bad_row " + std::string(what) + " " + request.stream_id;
+        response.append("ERR bad_row ").append(what).append(" ").append(
+            request->stream_id);
       } else {
-        responses_[slot] =
-            "OK " + std::string(what) + " " + request.stream_id + " dropped";
+        response.append("OK ").append(what).append(" ").append(
+            request->stream_id).append(" dropped");
       }
       return;
     }
@@ -318,22 +334,27 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
   // Explicit back-pressure: a full shard queue rejects instead of growing
   // without bound; the client owns the retry (next window is one barrier
   // away, hence retry-after=1).
-  std::vector<Routed>& queue = shard_queues_[stream->shard];
+  std::vector<Routed>& queue = work_[stream->shard].queue;
   if (queue.size() >= config_.queue_capacity) {
     ++tallies_[kRejected];
     *shard->rejected += 1;
-    responses_[slot] = "ERR retry-after=1 " + request.stream_id + " shard=" +
-                       std::to_string(stream->shard) + " queue_full";
+    response.append("ERR retry-after=1 ")
+        .append(request->stream_id)
+        .append(" shard=");
+    AppendDecimal(&response, stream->shard);
+    response.append(" queue_full");
     return;
   }
 
   Routed routed;
-  routed.verb = request.verb;
+  routed.verb = request->verb;
   routed.stream = stream;
   routed.slot = slot;
-  routed.values = std::move(request.values);
-  routed.path = std::move(request.path);
-  switch (request.verb) {
+  routed.values_at = window_values_.size();
+  window_values_.insert(window_values_.end(), request->values.begin(),
+                        request->values.end());
+  routed.path = std::move(request->path);
+  switch (request->verb) {
     case Verb::kTrain:
       routed.ordinal = ++stream->rows_trained;
       ++tallies_[kTrainRows];
@@ -355,20 +376,18 @@ void ServeEngine::RouteRequest(Request&& request, std::size_t slot) {
 
 void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
   ++tallies_[kRequests];
-  Request request;
-  std::string error;
   const bool parsed =
-      ParseRequestLine(line, config_.num_features, &request, &error);
-  if (parsed && request.verb == Verb::kDrop) {
+      ParseRequestLine(line, config_.num_features, &request_, &parse_error_);
+  if (parsed && request_.verb == Verb::kDrop) {
     // A drop is a window boundary: everything routed so far (possibly
     // including requests for this stream) executes first, then the stream
     // is destroyed on the routing thread while no shard task is running.
     // Its response is emitted directly -- still in request order, right
     // after the flushed window's responses.
     Flush(out);
-    const auto it = streams_.find(request.stream_id);
+    const auto it = streams_.find(request_.stream_id);
     if (it == streams_.end()) {
-      out << "ERR unknown_stream " << request.stream_id << '\n';
+      out << "ERR unknown_stream " << request_.stream_id << '\n';
     } else {
       StreamState& state = it->second;
       if (state.model != nullptr) {
@@ -378,59 +397,58 @@ void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
         --resident_;
       } else if (!config_.state_dir.empty()) {
         // A dropped stream must not be resurrectable from its parked file.
-        RemoveEvictionArchive(config_.state_dir, request.stream_id);
+        RemoveEvictionArchive(config_.state_dir, request_.stream_id);
       }
       streams_.erase(it);
       ++tallies_[kDrops];
-      out << "OK drop " << request.stream_id << '\n';
+      out << "OK drop " << request_.stream_id << '\n';
     }
     return;
   }
-  const std::size_t slot = responses_.size();
-  responses_.emplace_back();
+  const std::size_t slot = num_responses_++;
+  if (slot == responses_.size()) responses_.emplace_back();
+  responses_[slot].clear();
   if (!parsed) {
     ++tallies_[kParseErrors];
-    responses_[slot] = "ERR parse " + error;
+    responses_[slot].append("ERR parse ").append(parse_error_);
   } else {
-    RouteRequest(std::move(request), slot);
+    RouteRequest(&request_, slot);
   }
-  if (responses_.size() >= config_.batch_window) Flush(out);
+  if (num_responses_ >= config_.batch_window) Flush(out);
 }
 
 void ServeEngine::Flush(std::ostream& out) {
   // An empty flush (bridge idle tick, drop at a window start, double
   // Finish) is a no-op: it must not advance the window clock, evict, or
   // checkpoint, or interactive serving would diverge from batch replay.
-  if (responses_.empty()) return;
-  bool any = false;
-  for (const std::vector<Routed>& queue : shard_queues_) {
-    if (!queue.empty()) any = true;
-  }
-  if (any) {
-    if (pool_ != nullptr) {
-      std::vector<std::future<void>> futures;
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (shard_queues_[s].empty()) continue;
-        Shard* shard = shards_[s].get();
-        std::vector<Routed>* items = &shard_queues_[s];
-        futures.push_back(
-            pool_->Submit([this, shard, items]() { ProcessShard(shard, items); }));
-      }
-      for (std::future<void>& future : futures) {
-        GetHelping(pool_.get(), &future);
-      }
-    } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (!shard_queues_[s].empty()) {
-          ProcessShard(shards_[s].get(), &shard_queues_[s]);
-        }
-      }
+  if (num_responses_ == 0) return;
+  if (pool_ != nullptr) {
+    std::vector<std::future<void>> futures;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (work_[s].queue.empty()) continue;
+      Shard* shard = shards_[s].get();
+      ShardWork* work = &work_[s];
+      futures.push_back(
+          pool_->Submit([this, shard, work]() { ProcessShard(shard, work); }));
     }
-    for (std::vector<Routed>& queue : shard_queues_) queue.clear();
+    for (std::future<void>& future : futures) {
+      GetHelping(pool_.get(), &future);
+    }
+  } else {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (!work_[s].queue.empty()) ProcessShard(shards_[s].get(), &work_[s]);
+    }
   }
-  for (const std::string& response : responses_) out << response << '\n';
+  for (ShardWork& work : work_) work.queue.clear();
+  window_values_.clear();
+  window_text_.clear();
+  for (std::size_t i = 0; i < num_responses_; ++i) {
+    window_text_.append(responses_[i]).push_back('\n');
+  }
+  out.write(window_text_.data(),
+            static_cast<std::streamsize>(window_text_.size()));
   out.flush();
-  responses_.clear();
+  num_responses_ = 0;
   ++tallies_[kWindows];
   EvictAtBoundary();
   if (!config_.state_dir.empty() && config_.checkpoint_every > 0 &&
@@ -641,109 +659,141 @@ void ServeEngine::RecoverFromStateDir() {
   }
 }
 
-void ServeEngine::ProcessShard(Shard* shard, std::vector<Routed>* items) {
+void ServeEngine::ProcessShard(Shard* shard, ShardWork* work) {
   // Regroup per stream, preserving each stream's own request order but
   // ignoring interleaving by other streams: streams are independent, so
   // this is semantically equivalent to global order -- and it makes run
   // coalescing identical at any shard count (see the header contract).
-  std::vector<std::vector<Routed*>> per_stream;
-  std::unordered_map<const StreamState*, std::size_t> stream_index;
-  for (Routed& item : *items) {
-    const auto [it, inserted] =
-        stream_index.emplace(item.stream, per_stream.size());
-    if (inserted) per_stream.emplace_back();
-    per_stream[it->second].push_back(&item);
+  // A counting sort on the per-window group index, groups numbered in
+  // first-appearance order through an open-addressed table at most half
+  // full.
+  const std::vector<Routed>& items = work->queue;
+  std::size_t table_size = 1;
+  while (table_size < 2 * items.size()) table_size <<= 1;
+  if (work->table.size() < table_size) work->table.resize(table_size);
+  std::fill_n(work->table.begin(), table_size,
+              std::pair<const StreamState*, std::uint32_t>(nullptr, 0));
+  work->group_of.resize(items.size());
+  work->group_end.clear();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const StreamState* stream = items[i].stream;
+    std::size_t at =
+        SplitMix64(reinterpret_cast<std::uintptr_t>(stream)) & (table_size - 1);
+    while (work->table[at].first != nullptr &&
+           work->table[at].first != stream) {
+      at = (at + 1) & (table_size - 1);
+    }
+    if (work->table[at].first == nullptr) {
+      work->table[at] = {stream,
+                         static_cast<std::uint32_t>(work->group_end.size())};
+      work->group_end.push_back(0);
+    }
+    work->group_of[i] = work->table[at].second;
+    ++work->group_end[work->group_of[i]];  // group size for now
+  }
+  std::uint32_t start = 0;
+  for (std::uint32_t& end : work->group_end) {
+    const std::uint32_t size = end;
+    end = start;  // the group's next free position while placing
+    start += size;
+  }
+  std::vector<const Routed*>& order = work->order;
+  order.resize(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    order[work->group_end[work->group_of[i]]++] = &items[i];
   }
 
+  // Each stream's requests are now contiguous, so a maximal same-stream,
+  // same-verb run of `order` is one coalesced model call.
   const std::size_t features = static_cast<std::size_t>(config_.num_features);
-  for (std::vector<Routed*>& sequence : per_stream) {
-    std::size_t i = 0;
-    while (i < sequence.size()) {
-      Routed* head = sequence[i];
-      StreamState* stream = head->stream;
-      if (head->verb == Verb::kTrain || head->verb == Verb::kScore) {
-        // Maximal same-verb run of this stream -> one batched model call.
-        std::size_t end = i;
-        while (end < sequence.size() && sequence[end]->verb == head->verb) {
-          ++end;
-        }
-        Batch& batch = shard->scratch_batch;
-        batch.clear();
-        for (std::size_t j = i; j < end; ++j) {
-          const std::vector<double>& values = sequence[j]->values;
-          batch.Add(std::span<const double>(values.data(), features),
-                    head->verb == Verb::kTrain
-                        ? static_cast<int>(values[features])
-                        : 0);
-        }
-        if (head->verb == Verb::kTrain) {
-          try {
-            stream->model->PartialFit(batch);
-            *shard->train_rows += batch.size();
-            for (std::size_t j = i; j < end; ++j) {
-              responses_[sequence[j]->slot] =
-                  "OK train " + stream->id +
-                  " n=" + std::to_string(sequence[j]->ordinal);
-            }
-          } catch (const std::exception& e) {
-            for (std::size_t j = i; j < end; ++j) {
-              responses_[sequence[j]->slot] =
-                  std::string("ERR train ") + e.what();
-            }
-          }
-        } else {
-          try {
-            stream->model->PredictBatch(batch, &shard->scratch_proba);
-            *shard->score_rows += batch.size();
-            for (std::size_t j = i; j < end; ++j) {
-              const std::span<const double> proba =
-                  shard->scratch_proba.row(j - i);
-              std::string& response = responses_[sequence[j]->slot];
-              response = "OK score " + stream->id + " pred=" +
-                         std::to_string(ArgMax(proba)) + " p=";
-              for (std::size_t c = 0; c < proba.size(); ++c) {
-                if (c > 0) response.push_back(',');
-                AppendG(&response, proba[c]);
-              }
-            }
-          } catch (const std::exception& e) {
-            for (std::size_t j = i; j < end; ++j) {
-              responses_[sequence[j]->slot] =
-                  std::string("ERR score ") + e.what();
-            }
-          }
-        }
-        i = end;
-        continue;
+  std::size_t i = 0;
+  while (i < order.size()) {
+    const Routed* head = order[i];
+    StreamState* stream = head->stream;
+    if (head->verb == Verb::kTrain || head->verb == Verb::kScore) {
+      std::size_t end = i + 1;
+      while (end < order.size() && order[end]->stream == stream &&
+             order[end]->verb == head->verb) {
+        ++end;
       }
-      if (head->verb == Verb::kSnapshot) {
+      Batch& batch = shard->scratch_batch;
+      batch.clear();
+      for (std::size_t j = i; j < end; ++j) {
+        const double* row = window_values_.data() + order[j]->values_at;
+        batch.Add(std::span<const double>(row, features),
+                  head->verb == Verb::kTrain ? static_cast<int>(row[features])
+                                             : 0);
+      }
+      if (head->verb == Verb::kTrain) {
         try {
-          serial::SaveClassifierToFile(*stream->model, head->path);
-          *shard->snapshots += 1;
-          responses_[head->slot] =
-              "OK snapshot " + stream->id + " " + head->path;
-        } catch (const std::exception& e) {
-          responses_[head->slot] = std::string("ERR snapshot ") + e.what();
-        }
-      } else {  // kRestore: blue-green -- decode fully, then swap
-        try {
-          std::unique_ptr<Classifier> loaded =
-              serial::LoadClassifierFromFile(head->path);
-          const std::string mismatch =
-              AttachIfFits(loaded.get(), config_, shard);
-          if (!mismatch.empty()) {
-            responses_[head->slot] = "ERR restore " + mismatch;
-          } else {
-            stream->model = std::move(loaded);
-            *shard->restores += 1;
-            responses_[head->slot] = "OK restore " + stream->id;
+          stream->model->PartialFit(batch);
+          *shard->train_rows += batch.size();
+          for (std::size_t j = i; j < end; ++j) {
+            std::string& response = responses_[order[j]->slot];
+            response.append("OK train ").append(stream->id).append(" n=");
+            AppendDecimal(&response, order[j]->ordinal);
           }
         } catch (const std::exception& e) {
-          responses_[head->slot] = std::string("ERR restore ") + e.what();
+          for (std::size_t j = i; j < end; ++j) {
+            responses_[order[j]->slot].assign("ERR train ").append(e.what());
+          }
+        }
+      } else {
+        try {
+          stream->model->PredictBatch(batch, &shard->scratch_proba);
+          *shard->score_rows += batch.size();
+          for (std::size_t j = i; j < end; ++j) {
+            const std::span<const double> proba =
+                shard->scratch_proba.row(j - i);
+            std::string& response = responses_[order[j]->slot];
+            response.append("OK score ").append(stream->id).append(" pred=");
+            AppendDecimal(&response,
+                          static_cast<std::uint64_t>(ArgMax(proba)));
+            response.append(" p=");
+            for (std::size_t c = 0; c < proba.size(); ++c) {
+              if (c > 0) response.push_back(',');
+              AppendG(&response, proba[c]);
+            }
+          }
+        } catch (const std::exception& e) {
+          for (std::size_t j = i; j < end; ++j) {
+            responses_[order[j]->slot].assign("ERR score ").append(e.what());
+          }
         }
       }
-      ++i;
+      i = end;
+      continue;
     }
+    std::string& response = responses_[head->slot];
+    if (head->verb == Verb::kSnapshot) {
+      try {
+        serial::SaveClassifierToFile(*stream->model, head->path);
+        *shard->snapshots += 1;
+        response.append("OK snapshot ")
+            .append(stream->id)
+            .append(" ")
+            .append(head->path);
+      } catch (const std::exception& e) {
+        response.assign("ERR snapshot ").append(e.what());
+      }
+    } else {  // kRestore: blue-green -- decode fully, then swap
+      try {
+        std::unique_ptr<Classifier> loaded =
+            serial::LoadClassifierFromFile(head->path);
+        const std::string mismatch =
+            AttachIfFits(loaded.get(), config_, shard);
+        if (!mismatch.empty()) {
+          response.append("ERR restore ").append(mismatch);
+        } else {
+          stream->model = std::move(loaded);
+          *shard->restores += 1;
+          response.append("OK restore ").append(stream->id);
+        }
+      } catch (const std::exception& e) {
+        response.assign("ERR restore ").append(e.what());
+      }
+    }
+    ++i;
   }
 }
 
@@ -754,20 +804,18 @@ void ServeEngine::ExportTelemetry() {
   }
 }
 
-std::string ServeEngine::StatsLine() const {
+void ServeEngine::AppendStatsLine(std::string* out) const {
   // Routing-time tallies only: everything here is a pure function of the
   // request sequence, so `stats` responses match at any shard count.
-  std::string line = "OK stats {\"streams\": " +
-                     std::to_string(streams_.size()) +
-                     ", \"resident_streams\": " + std::to_string(resident_);
+  out->append("OK stats {\"streams\": ");
+  AppendDecimal(out, streams_.size());
+  out->append(", \"resident_streams\": ");
+  AppendDecimal(out, resident_);
   for (const auto& [name, tally] : kStatsFields) {
-    line += ", \"";
-    line += name;
-    line += "\": ";
-    line += std::to_string(tallies_[tally]);
+    out->append(", \"").append(name).append("\": ");
+    AppendDecimal(out, tallies_[tally]);
   }
-  line += "}";
-  return line;
+  out->push_back('}');
 }
 
 void ServeEngine::Finish(std::ostream& out) {

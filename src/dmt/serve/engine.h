@@ -10,7 +10,18 @@
 // to its stream's shard queue; when the window is full (or input ends, or
 // a `drop` forces a boundary) every shard with work runs as one pool task,
 // and a barrier precedes response emission. Responses always come out in
-// request order, one line per request.
+// request order, one line per request, written with one out.write per
+// window.
+//
+// Allocation model: once the engine is warm (every stream of the traffic
+// created, every buffer grown to one window's worth), routing and running
+// train/score windows on one shard allocate nothing per request. The
+// engine reuses one parsed Request, looks streams up by the string_view of
+// the parsed id (an owning id is built only when a stream is created),
+// copies each row into one flat per-window value buffer, formats into
+// response slots that keep their capacity, and regroups each shard's queue
+// with grow-only scratch. Stream creation, snapshot/restore, drop,
+// eviction, checkpoints and pool dispatch (num_shards > 1) still allocate.
 //
 // Determinism contract: the same request script and seed produce
 // byte-identical responses at ANY shard count. Three properties make this
@@ -37,6 +48,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dmt/common/classifier.h"
@@ -170,34 +182,68 @@ class ServeEngine {
     Verb verb = Verb::kTrain;
     StreamState* stream = nullptr;
     std::size_t slot = 0;            // response index within the window
-    std::vector<double> values;      // train: F features + label; score: F
+    // Train/score: offset of the row in window_values_ (train: F features
+    // then the label; score: F features).
+    std::size_t values_at = 0;
     std::string path;                // snapshot / restore
     std::uint64_t ordinal = 0;       // train: rows_trained after this row
+  };
+
+  // One shard's share of the current window plus the scratch ProcessShard
+  // regroups it with; every vector is grow-only across windows.
+  struct ShardWork {
+    std::vector<Routed> queue;  // arrival order
+    // Open-addressed stream -> group table (groups numbered in order of
+    // first appearance), the group of each queued request, the end of
+    // each group in `order`, and the queue regrouped by stream.
+    std::vector<std::pair<const StreamState*, std::uint32_t>> table;
+    std::vector<std::uint32_t> group_of;
+    std::vector<std::uint32_t> group_end;
+    std::vector<const Routed*> order;
+  };
+
+  // Hashes owning keys and string_view probes alike, so streams_ can be
+  // searched with the parsed id without building a std::string.
+  struct IdHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view id) const {
+      return std::hash<std::string_view>{}(id);
+    }
   };
 
   // Returns the (possibly just created or warm-started) stream, or nullptr
   // when a parked stream's archive cannot be loaded -- `*error` then holds
   // the diagnostic and the stream stays parked.
-  StreamState* FindOrCreateStream(const std::string& id, std::string* error);
+  StreamState* FindOrCreateStream(std::string_view id, std::string* error);
   bool WarmStart(StreamState* stream, std::string* error);
   void InjectFaults(Request* request, StreamState* stream);
-  void RouteRequest(Request&& request, std::size_t slot);
-  void ProcessShard(Shard* shard, std::vector<Routed>* items);
+  void RouteRequest(Request* request, std::size_t slot);
+  void ProcessShard(Shard* shard, ShardWork* work);
   void EvictAtBoundary();
   bool EvictStream(StreamState* stream);
   void WriteCheckpoint();
   void RecoverFromStateDir();
   void ExportTelemetry();
-  std::string StatsLine() const;
+  void AppendStatsLine(std::string* out) const;
 
   ServeConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> pool_;  // only when num_shards > 1
-  std::unordered_map<std::string, StreamState> streams_;
+  std::unordered_map<std::string, StreamState, IdHash, std::equal_to<>>
+      streams_;
 
-  // Current window: per-request response slots plus per-shard queues.
+  // Reused by every ServeLine call.
+  Request request_;
+  std::string parse_error_;
+
+  // Current window: the first num_responses_ response slots (slots keep
+  // their capacity across windows), the rows of its train/score requests,
+  // per-shard work, and the window's response text.
   std::vector<std::string> responses_;
-  std::vector<std::vector<Routed>> shard_queues_;
+  std::size_t num_responses_ = 0;
+  std::vector<double> window_values_;
+  std::vector<ShardWork> work_;
+  std::string window_text_;
 
   // Routing-time tallies (main thread only). StatsLine reports these, so
   // `stats` responses are shard-count-independent by construction.

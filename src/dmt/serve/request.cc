@@ -8,15 +8,30 @@ namespace dmt::serve {
 
 namespace {
 
+// The first kMaxTokens whitespace-separated tokens of a line plus the
+// total count: no request takes more, and the count alone words the
+// arity errors.
+constexpr std::size_t kMaxTokens = 3;
+
+struct Tokens {
+  std::string_view token[kMaxTokens];
+  std::size_t count = 0;
+};
+
 // Splits on runs of spaces/tabs; the csv-row is a single token.
-std::vector<std::string_view> Tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
+Tokens Tokenize(std::string_view line) {
+  Tokens tokens;
   std::size_t i = 0;
   while (i < line.size()) {
     while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
     std::size_t start = i;
     while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
+    if (i > start) {
+      if (tokens.count < kMaxTokens) {
+        tokens.token[tokens.count] = line.substr(start, i - start);
+      }
+      ++tokens.count;
+    }
   }
   return tokens;
 }
@@ -57,56 +72,62 @@ bool ParseRequestLine(std::string_view line, int num_features, Request* out,
                       std::string* error) {
   // Tolerate trailing \r so scripts written on any platform parse.
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  *out = Request{};
-  const std::vector<std::string_view> tokens = Tokenize(line);
-  if (tokens.empty()) {
+  // Reset field by field: the strings and the vector keep their capacity,
+  // so a Request reused across lines stops allocating once warm.
+  out->verb = Verb::kStats;
+  out->stream_id.clear();
+  out->values.clear();
+  out->path.clear();
+  const Tokens tokens = Tokenize(line);
+  if (tokens.count == 0) {
     *error = "empty request";
     return false;
   }
-  const std::string_view verb = tokens[0];
+  const std::string_view verb = tokens.token[0];
   if (verb == "stats") {
-    if (tokens.size() != 1) {
+    if (tokens.count != 1) {
       *error = "stats takes no arguments";
       return false;
     }
     out->verb = Verb::kStats;
     return true;
   }
-  if (tokens.size() < 2) {
+  if (tokens.count < 2) {
     *error = "missing stream id";
     return false;
   }
-  out->stream_id = std::string(tokens[1]);
+  out->stream_id.assign(tokens.token[1]);
   if (verb == "drop") {
-    if (tokens.size() != 2) {
+    if (tokens.count != 2) {
       *error = "drop takes exactly one argument";
       return false;
     }
     out->verb = Verb::kDrop;
     return true;
   }
-  if (tokens.size() != 3) {
+  if (tokens.count != 3) {
     *error = std::string(verb) + " takes exactly two arguments";
     return false;
   }
   if (verb == "train") {
     out->verb = Verb::kTrain;
-    return ParseCsvRow(tokens[2], static_cast<std::size_t>(num_features) + 1,
+    return ParseCsvRow(tokens.token[2],
+                       static_cast<std::size_t>(num_features) + 1,
                        &out->values, error);
   }
   if (verb == "score") {
     out->verb = Verb::kScore;
-    return ParseCsvRow(tokens[2], static_cast<std::size_t>(num_features),
+    return ParseCsvRow(tokens.token[2], static_cast<std::size_t>(num_features),
                        &out->values, error);
   }
   if (verb == "snapshot") {
     out->verb = Verb::kSnapshot;
-    out->path = std::string(tokens[2]);
+    out->path.assign(tokens.token[2]);
     return true;
   }
   if (verb == "restore") {
     out->verb = Verb::kRestore;
-    out->path = std::string(tokens[2]);
+    out->path.assign(tokens.token[2]);
     return true;
   }
   *error = "unknown verb '" + std::string(verb) + "'";

@@ -32,11 +32,12 @@ struct Request {
   std::string path;  // snapshot / restore target
 };
 
-// Parses one request line into `out` (cleared first). Returns true on
-// success; on failure returns false with a short reason in `error`
-// (single-line, suitable for an "ERR parse ..." response). `num_features`
-// gates the row arity: train rows need exactly num_features + 1 values,
-// score rows exactly num_features.
+// Parses one request line into `out` (cleared first, keeping the capacity
+// of its strings and vector, so a reused Request stops allocating once
+// warm). Returns true on success; on failure returns false with a short
+// reason in `error` (single-line, suitable for an "ERR parse ..."
+// response). `num_features` gates the row arity: train rows need exactly
+// num_features + 1 values, score rows exactly num_features.
 bool ParseRequestLine(std::string_view line, int num_features, Request* out,
                       std::string* error);
 

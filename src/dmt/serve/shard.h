@@ -52,9 +52,10 @@ struct Shard {
   // resident_streams gauge.
   std::size_t num_streams = 0;
 
-  // Grow-only scratch reused across windows: coalesced per-stream request
-  // runs are staged here, so steady-state serving does not allocate
-  // per request beyond the parsed request itself.
+  // Grow-only scratch reused across windows: each coalesced per-stream
+  // run is staged here for its one PartialFit / PredictBatch call. With
+  // the engine's reused window buffers (engine.h, "Allocation model"),
+  // steady-state serving allocates nothing per request.
   Batch scratch_batch;
   ProbaMatrix scratch_proba;
 

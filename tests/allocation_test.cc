@@ -6,6 +6,9 @@
 // This test replaces the global allocator, so it builds as its own binary
 // (dmt_allocation_test) and must never join the dmt_tests glob.
 #include <memory>
+#include <ostream>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,7 +19,9 @@
 #include "dmt/core/dynamic_model_tree.h"
 #include "dmt/ensemble/adaptive_random_forest.h"
 #include "dmt/linear/glm.h"
+#include "dmt/linear/glm_classifier.h"
 #include "dmt/obs/telemetry.h"
+#include "dmt/serve/engine.h"
 #include "dmt/trees/vfdt.h"
 
 DMT_DEFINE_COUNTING_ALLOCATOR();
@@ -236,6 +241,103 @@ TEST(AllocationRegressionTest, GlmTrainsWithoutAllocating) {
   alloc_count::Reset();
   for (const Batch& batch : measured) model.Fit(batch);
   EXPECT_EQ(alloc_count::allocations, 0u) << "Glm::Fit allocated";
+#endif
+}
+
+// --- Serving: once every stream exists and the window buffers are warm,
+// routing a request and running its window must not touch the heap.
+
+// Keeps response bytes in a string reserved up front, so the sink itself
+// never allocates while it is measured.
+class ReservedSink : public std::streambuf {
+ public:
+  explicit ReservedSink(std::size_t bytes) { text_.reserve(bytes); }
+  const std::string& text() const { return text_; }
+  void Clear() { text_.clear(); }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    text_.push_back(traits_type::to_char_type(ch));
+    return ch;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    text_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+
+ private:
+  std::string text_;
+};
+
+TEST(AllocationRegressionTest, ServeEngineRoutesWithoutAllocating) {
+#ifdef DMT_UNDER_SANITIZER
+  GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
+#else
+  constexpr int kStreams = 300;
+  constexpr std::size_t kWindow = 64;
+  constexpr std::size_t kWindows = 6;
+  serve::ServeConfig config;
+  config.num_features = 3;
+  config.num_classes = 2;
+  config.batch_window = kWindow;
+  config.factory = [](const std::string& /*id*/,
+                      std::uint64_t seed) -> std::unique_ptr<Classifier> {
+    linear::GlmConfig glm;
+    glm.num_features = 3;
+    glm.num_classes = 2;
+    glm.seed = seed;
+    return std::make_unique<linear::GlmClassifier>(glm);
+  };
+  serve::ServeEngine engine(config);
+
+  // Lines are built up front: formatting them is not the engine's cost.
+  Rng rng(301);
+  const auto row = [&rng](bool train) {
+    std::string text;
+    for (int f = 0; f < 3; ++f) {
+      text += std::to_string(rng.Uniform()) + (f < 2 ? "," : "");
+    }
+    if (train) text += rng.Bernoulli(0.5) ? ",1" : ",0";
+    return text;
+  };
+  std::vector<std::string> warmup;
+  for (int s = 0; s < kStreams; ++s) {
+    warmup.push_back("train s" + std::to_string(s) + " " + row(true));
+  }
+  // Mixed train/score over the live streams; a stream may recur within a
+  // window, so the per-stream regrouping runs for real.
+  std::vector<std::string> windows;
+  for (std::size_t i = 0; i < kWindow * kWindows; ++i) {
+    const bool train = rng.Bernoulli(0.5);
+    windows.push_back(std::string(train ? "train" : "score") + " s" +
+                      std::to_string(rng.UniformInt(0, kStreams / 10)) + " " +
+                      row(train));
+  }
+
+  ReservedSink sink(1 << 20);
+  std::ostream out(&sink);
+  for (const std::string& line : warmup) engine.ServeLine(line, out);
+  engine.Flush(out);
+  // One pass over the measured traffic grows every window buffer to size.
+  for (const std::string& line : windows) engine.ServeLine(line, out);
+  engine.Flush(out);
+  sink.Clear();
+
+  const std::uint64_t windows_before = engine.windows();
+  alloc_count::Reset();
+  for (const std::string& line : windows) engine.ServeLine(line, out);
+  engine.Flush(out);
+  EXPECT_EQ(alloc_count::allocations, 0u) << "serving allocated";
+
+  std::size_t lines = 0;
+  for (const char c : sink.text()) lines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(lines, windows.size());
+  EXPECT_EQ(sink.text().find("ERR"), std::string::npos);
+  EXPECT_NE(sink.text().find("OK score"), std::string::npos);
+  EXPECT_EQ(engine.windows() - windows_before, kWindows);
 #endif
 }
 

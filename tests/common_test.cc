@@ -1,9 +1,17 @@
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dmt/common/math.h"
+#include "dmt/common/parse.h"
 #include "dmt/common/random.h"
 #include "dmt/common/stats.h"
 #include "dmt/common/table.h"
@@ -129,6 +137,89 @@ TEST(TableTest, RendersAlignedColumnsAndCsv) {
   EXPECT_NE(text.find("DMT"), std::string::npos);
   EXPECT_NE(text.find("0.78 +- 0.10"), std::string::npos);
   EXPECT_NE(table.ToCsv().find("DMT,0.78 +- 0.10"), std::string::npos);
+}
+
+// ParseDouble's reference semantics: strtod must consume the whole
+// non-empty token, which must not start with whitespace.
+std::optional<double> StrtodReference(const std::string& text,
+                                      bool require_finite) {
+  if (text.empty() || text[0] == ' ' || text[0] == '\t') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || end == text.c_str()) {
+    return std::nullopt;
+  }
+  if (require_finite && !std::isfinite(value)) return std::nullopt;
+  return value;
+}
+
+std::uint64_t BitsOf(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Same acceptance and the same bits as the strtod reference, in both modes.
+void ExpectMatchesStrtod(const std::string& text) {
+  for (const bool require_finite : {true, false}) {
+    const std::optional<double> got = ParseDouble(text, require_finite);
+    const std::optional<double> want = StrtodReference(text, require_finite);
+    ASSERT_EQ(got.has_value(), want.has_value())
+        << "'" << text << "' require_finite=" << require_finite;
+    if (got) {
+      EXPECT_EQ(BitsOf(*got), BitsOf(*want))
+          << "'" << text << "' require_finite=" << require_finite;
+    }
+  }
+}
+
+TEST(ParseDoubleTest, FastPathMatchesStrtodOnEdgeCases) {
+  const std::string long_digits = "0." + std::string(200, '0') + "15";
+  for (const std::string& text : std::vector<std::string>{
+           "+1", "0x1p3", "1e999", "-1e-400", "4.9e-324", "nan", "NAN(abc)",
+        "nan(0x5)", "-nan", "inf", "-Infinity", "1.", ".5", "1e", " 1", "1 ",
+        "", "--1", "9007199254740993", "0", "-0", "1e-5", "2.5E+10",
+        "1.7976931348623157e308", "1.7976931348623159e308",
+        "2.2250738585072011e-308", "1.2.3", "1,5", "0x", "e5", "+",
+        "\t1", long_digits, "+" + long_digits, long_digits + "x"}) {
+    ExpectMatchesStrtod(text);
+  }
+}
+
+TEST(ParseDoubleTest, EdgeCaseValues) {
+  EXPECT_EQ(ParseDouble("+1"), 1.0);
+  EXPECT_EQ(ParseDouble("0x1p3"), 8.0);
+  EXPECT_EQ(ParseDouble("9007199254740993"), 9007199254740992.0);
+  EXPECT_EQ(ParseDouble("4.9e-324"), 4.9e-324);
+  EXPECT_EQ(ParseDouble("1."), 1.0);
+  EXPECT_EQ(ParseDouble(".5"), 0.5);
+  // Out of range: accepted as what strtod rounds to (-0.0 keeps its sign;
+  // the overflow is infinite, so only the data-plane mode accepts it).
+  ASSERT_TRUE(ParseDouble("-1e-400").has_value());
+  EXPECT_TRUE(std::signbit(*ParseDouble("-1e-400")));
+  EXPECT_FALSE(ParseDouble("1e999").has_value());
+  EXPECT_EQ(ParseDouble("1e999", false), HUGE_VAL);
+  EXPECT_FALSE(ParseDouble("nan").has_value());
+  EXPECT_TRUE(std::isnan(*ParseDouble("NAN(abc)", false)));
+  EXPECT_EQ(ParseDouble("-Infinity", false), -HUGE_VAL);
+  for (const char* bad : {"1e", " 1", "1 ", "", "--1"}) {
+    EXPECT_FALSE(ParseDouble(bad, false).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseDoubleTest, FastPathMatchesStrtodOnPrintedValues) {
+  // The serve protocol's own traffic: %.9g and %.17g renderings of values
+  // across many magnitudes.
+  Rng rng(2022);
+  char buffer[64];
+  for (int i = 0; i < 20000; ++i) {
+    const double value = (rng.Uniform() - 0.5) *
+                         std::pow(10.0, rng.UniformInt(-320, 300));
+    std::snprintf(buffer, sizeof(buffer), i % 2 == 0 ? "%.9g" : "%.17g",
+                  value);
+    ExpectMatchesStrtod(buffer);
+  }
 }
 
 }  // namespace

@@ -143,6 +143,55 @@ TEST(RequestParseTest, RejectsMalformedLines) {
   EXPECT_FALSE(serve::ParseRequestLine("drop u1 extra", 2, &request, &error));
 }
 
+TEST(RequestParseTest, ReusedRequestHoldsNothingStale) {
+  // One Request across every verb, as the engine reuses it: each parse
+  // must leave no field of the previous line behind.
+  serve::Request request;
+  std::string error;
+  ASSERT_TRUE(
+      serve::ParseRequestLine("train u1 0.5,1.5,2.5,1", 3, &request, &error));
+  EXPECT_EQ(request.verb, serve::Verb::kTrain);
+  EXPECT_EQ(request.stream_id, "u1");
+  EXPECT_EQ(request.values, (std::vector<double>{0.5, 1.5, 2.5, 1.0}));
+  EXPECT_EQ(request.path, "");
+
+  ASSERT_TRUE(serve::ParseRequestLine("snapshot u2 /tmp/m.dmts", 3, &request,
+                                      &error));
+  EXPECT_EQ(request.verb, serve::Verb::kSnapshot);
+  EXPECT_EQ(request.stream_id, "u2");
+  EXPECT_TRUE(request.values.empty());
+  EXPECT_EQ(request.path, "/tmp/m.dmts");
+
+  ASSERT_TRUE(serve::ParseRequestLine("stats", 3, &request, &error));
+  EXPECT_EQ(request.verb, serve::Verb::kStats);
+  EXPECT_EQ(request.stream_id, "");
+  EXPECT_TRUE(request.values.empty());
+  EXPECT_EQ(request.path, "");
+
+  ASSERT_TRUE(serve::ParseRequestLine("drop u3", 3, &request, &error));
+  EXPECT_EQ(request.verb, serve::Verb::kDrop);
+  EXPECT_EQ(request.stream_id, "u3");
+  EXPECT_TRUE(request.values.empty());
+  EXPECT_EQ(request.path, "");
+
+  ASSERT_TRUE(
+      serve::ParseRequestLine("score u4 0.25,0.75,1", 3, &request, &error));
+  EXPECT_EQ(request.verb, serve::Verb::kScore);
+  EXPECT_EQ(request.stream_id, "u4");
+  EXPECT_EQ(request.values, (std::vector<double>{0.25, 0.75, 1.0}));
+  EXPECT_EQ(request.path, "");
+
+  // The error texts are part of the protocol ("ERR parse <text>").
+  EXPECT_FALSE(serve::ParseRequestLine("train u1 0.5,1.5,2.5,1 extra", 3,
+                                       &request, &error));
+  EXPECT_EQ(error, "train takes exactly two arguments");
+  EXPECT_FALSE(
+      serve::ParseRequestLine("train u1 1,2,3,4,5", 3, &request, &error));
+  EXPECT_EQ(error, "expected 4 csv values, got 5");
+  EXPECT_FALSE(serve::ParseRequestLine("score u1 1,x,3", 3, &request, &error));
+  EXPECT_EQ(error, "bad csv value 'x'");
+}
+
 // ---------------------------------------------------------- determinism
 
 std::vector<std::string> ManyStreamScript(std::size_t num_requests,
