@@ -41,7 +41,6 @@ std::optional<double> StrtodWhole(std::string_view text) {
     heap.assign(text);
     begin = heap.c_str();
   }
-  errno = 0;
   char* end = nullptr;
   const double value = std::strtod(begin, &end);
   if (end != begin + text.size() || end == begin) return std::nullopt;
