@@ -19,19 +19,23 @@ namespace dmt::serve {
 
 namespace {
 
-// Stable stream-id -> shard hash (FNV-1a, SplitMix64-finalized). Must not
+// Stable stream-id hash (FNV-1a, SplitMix64-finalized): the stream
+// index key and, modulo num_shards, the stream's shard home. Must not
 // depend on anything but the id bytes: a stream's model identity survives
 // process restarts and shard-count changes only because its *seed* comes
 // from DeriveSeed(engine seed, id), but its shard home may legitimately
 // move when num_shards changes.
-std::size_t ShardOf(std::string_view id, std::size_t num_shards) {
+std::uint64_t StreamHash(std::string_view id) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : id) {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
     h *= 0x100000001b3ULL;
   }
-  return static_cast<std::size_t>(SplitMix64(h) % num_shards);
+  return SplitMix64(h);
 }
+
+// Slot count of an empty stream index (a power of two).
+constexpr std::size_t kInitialIndexSlots = 64;
 
 void AppendDecimal(std::string* out, std::uint64_t value) {
   char buffer[20];
@@ -121,6 +125,7 @@ ServeEngine::ServeEngine(ServeConfig config) : config_(std::move(config)) {
     shards_.push_back(std::move(shard));
   }
   work_.resize(config_.num_shards);
+  index_.resize(kInitialIndexSlots);
   if (config_.num_shards > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_shards);
   }
@@ -141,28 +146,86 @@ ServeEngine::ServeEngine(ServeConfig config) : config_(std::move(config)) {
 
 ServeEngine::~ServeEngine() = default;
 
-ServeEngine::StreamState* ServeEngine::FindOrCreateStream(
-    std::string_view id_view, std::string* error) {
-  const auto it = streams_.find(id_view);
-  if (it != streams_.end()) {
-    StreamState* stream = &it->second;
-    if (stream->model == nullptr && !WarmStart(stream, error)) return nullptr;
-    return stream;
+ServeEngine::StreamState* ServeEngine::FindStream(std::string_view id,
+                                                  std::uint64_t hash) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t at = hash & mask;; at = (at + 1) & mask) {
+    const IndexSlot& slot = index_[at];
+    if (slot.stream == nullptr) return nullptr;
+    if (slot.hash == hash && slot.stream->id == id) return slot.stream;
   }
-  const std::string id(id_view);
-  StreamState state;
-  state.id = id;
-  state.shard = ShardOf(id, shards_.size());
+}
+
+ServeEngine::StreamState* ServeEngine::AddStream(std::string_view id,
+                                                 std::uint64_t hash) {
+  if (2 * (num_streams_ + 1) > index_.size()) {
+    // Re-slot by the stored hashes; no id is rehashed and no StreamState
+    // moves, so pointers held by the current window stay valid.
+    std::vector<IndexSlot> grown(2 * index_.size());
+    const std::size_t mask = grown.size() - 1;
+    for (const IndexSlot& slot : index_) {
+      if (slot.stream == nullptr) continue;
+      std::size_t at = slot.hash & mask;
+      while (grown[at].stream != nullptr) at = (at + 1) & mask;
+      grown[at] = slot;
+    }
+    index_.swap(grown);
+  }
+  StreamState* stream = nullptr;
+  if (free_.empty()) {
+    stream = &slab_.emplace_back();
+  } else {
+    stream = free_.back();
+    free_.pop_back();
+  }
+  stream->id.assign(id);
+  stream->hash = hash;
+  stream->shard = static_cast<std::size_t>(hash % shards_.size());
+  const std::size_t mask = index_.size() - 1;
+  std::size_t at = hash & mask;
+  while (index_[at].stream != nullptr) at = (at + 1) & mask;
+  index_[at] = {hash, stream};
+  ++num_streams_;
+  return stream;
+}
+
+void ServeEngine::RemoveStream(StreamState* stream) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = stream->hash & mask;
+  while (index_[hole].stream != stream) hole = (hole + 1) & mask;
+  // Backward-shift deletion: each later entry of the probe run moves back
+  // into the hole unless its home slot lies after the hole, so every
+  // entry stays reachable from its home and no tombstones are needed.
+  for (std::size_t at = (hole + 1) & mask; index_[at].stream != nullptr;
+       at = (at + 1) & mask) {
+    const std::size_t home = index_[at].hash & mask;
+    if (((at - home) & mask) >= ((at - hole) & mask)) {
+      index_[hole] = index_[at];
+      hole = at;
+    }
+  }
+  index_[hole] = IndexSlot();
+  *stream = StreamState();
+  free_.push_back(stream);
+  --num_streams_;
+}
+
+ServeEngine::StreamState* ServeEngine::CreateStream(std::string_view id,
+                                                    std::uint64_t hash) {
   // Seeded from the stream identity alone: the same id always gets the
   // same model no matter which shard hosts it or when it first appeared.
-  state.model = config_.factory(id, DeriveSeed(config_.seed, id));
-  Shard* shard = shards_[state.shard].get();
-  state.model->AttachTelemetry(&shard->telemetry);
+  const std::string owned(id);
+  std::unique_ptr<Classifier> model =
+      config_.factory(owned, DeriveSeed(config_.seed, owned));
+  StreamState* stream = AddStream(id, hash);
+  stream->model = std::move(model);
+  Shard* shard = shards_[stream->shard].get();
+  stream->model->AttachTelemetry(&shard->telemetry);
   ++shard->num_streams;
   *shard->resident_streams = static_cast<double>(shard->num_streams);
   ++resident_;
   ++tallies_[kStreamsCreated];
-  return &streams_.emplace(id, std::move(state)).first->second;
+  return stream;
 }
 
 bool ServeEngine::WarmStart(StreamState* stream, std::string* error) {
@@ -257,19 +320,23 @@ void ServeEngine::RouteRequest(Request* request, std::size_t slot) {
     AppendStatsLine(&response);
     return;
   }
-  if (request->verb == Verb::kSnapshot &&
-      !streams_.contains(request->stream_id)) {
-    response.append("ERR unknown_stream ").append(request->stream_id);
-    return;
-  }
-  std::string warm_error;
-  StreamState* stream = FindOrCreateStream(request->stream_id, &warm_error);
+  const std::uint64_t hash = StreamHash(request->stream_id);
+  StreamState* stream = FindStream(request->stream_id, hash);
   if (stream == nullptr) {
-    response.append("ERR warm_start ")
-        .append(request->stream_id)
-        .append(" ")
-        .append(warm_error);
-    return;
+    if (request->verb == Verb::kSnapshot) {
+      response.append("ERR unknown_stream ").append(request->stream_id);
+      return;
+    }
+    stream = CreateStream(request->stream_id, hash);
+  } else if (stream->model == nullptr) {
+    std::string warm_error;
+    if (!WarmStart(stream, &warm_error)) {
+      response.append("ERR warm_start ")
+          .append(request->stream_id)
+          .append(" ")
+          .append(warm_error);
+      return;
+    }
   }
   // Touch bookkeeping for LRU/TTL eviction: the request ordinal is unique,
   // so the LRU order is total and eviction picks the same victims at any
@@ -385,13 +452,13 @@ void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
     // Its response is emitted directly -- still in request order, right
     // after the flushed window's responses.
     Flush(out);
-    const auto it = streams_.find(request_.stream_id);
-    if (it == streams_.end()) {
+    StreamState* stream =
+        FindStream(request_.stream_id, StreamHash(request_.stream_id));
+    if (stream == nullptr) {
       out << "ERR unknown_stream " << request_.stream_id << '\n';
     } else {
-      StreamState& state = it->second;
-      if (state.model != nullptr) {
-        Shard* shard = shards_[state.shard].get();
+      if (stream->model != nullptr) {
+        Shard* shard = shards_[stream->shard].get();
         --shard->num_streams;
         *shard->resident_streams = static_cast<double>(shard->num_streams);
         --resident_;
@@ -399,7 +466,7 @@ void ServeEngine::ServeLine(std::string_view line, std::ostream& out) {
         // A dropped stream must not be resurrectable from its parked file.
         RemoveEvictionArchive(config_.state_dir, request_.stream_id);
       }
-      streams_.erase(it);
+      RemoveStream(stream);
       ++tallies_[kDrops];
       out << "OK drop " << request_.stream_id << '\n';
     }
@@ -467,10 +534,11 @@ void ServeEngine::EvictAtBoundary() {
   // pure function of the request sequence -- never of shard scheduling.
   std::vector<StreamState*> victims;
   if (config_.idle_windows > 0) {
-    for (auto& [id, state] : streams_) {
-      if (state.model != nullptr &&
-          tallies_[kWindows] - state.last_window > config_.idle_windows) {
-        victims.push_back(&state);
+    for (const IndexSlot& slot : index_) {
+      if (slot.stream != nullptr && slot.stream->model != nullptr &&
+          tallies_[kWindows] - slot.stream->last_window >
+              config_.idle_windows) {
+        victims.push_back(slot.stream);
       }
     }
     std::sort(victims.begin(), victims.end(),
@@ -481,8 +549,10 @@ void ServeEngine::EvictAtBoundary() {
     victims.clear();
   }
   if (config_.max_streams > 0 && resident_ > config_.max_streams) {
-    for (auto& [id, state] : streams_) {
-      if (state.model != nullptr) victims.push_back(&state);
+    for (const IndexSlot& slot : index_) {
+      if (slot.stream != nullptr && slot.stream->model != nullptr) {
+        victims.push_back(slot.stream);
+      }
     }
     std::sort(victims.begin(), victims.end(),
               [](const StreamState* a, const StreamState* b) {
@@ -535,8 +605,10 @@ void ServeEngine::WriteCheckpoint() {
   ++manifest.tallies[kCheckpoints];
 
   std::vector<const StreamState*> order;
-  order.reserve(streams_.size());
-  for (const auto& [id, state] : streams_) order.push_back(&state);
+  order.reserve(num_streams_);
+  for (const IndexSlot& slot : index_) {
+    if (slot.stream != nullptr) order.push_back(slot.stream);
+  }
   std::sort(order.begin(), order.end(),
             [](const StreamState* a, const StreamState* b) {
               return a->id < b->id;
@@ -617,15 +689,18 @@ void ServeEngine::RecoverFromStateDir() {
   next_checkpoint_seq_ = m.seq + 1;
 
   for (const ManifestStream& entry : m.streams) {
-    StreamState state;
-    state.id = entry.id;
-    state.shard = ShardOf(entry.id, shards_.size());
-    state.rows_trained = entry.rows_trained;
-    state.last_touch = entry.last_touch;
-    state.last_window = entry.last_window;
+    const std::uint64_t hash = StreamHash(entry.id);
+    if (FindStream(entry.id, hash) != nullptr) {
+      throw StateError("checkpoint manifest lists stream '" + entry.id +
+                       "' twice");
+    }
+    StreamState* state = AddStream(entry.id, hash);
+    state->rows_trained = entry.rows_trained;
+    state->last_touch = entry.last_touch;
+    state->last_window = entry.last_window;
     if (!entry.inject_rng.empty()) {
-      state.inject_rng = std::make_unique<Rng>(0);
-      if (!RngFromText(entry.inject_rng, state.inject_rng.get())) {
+      state->inject_rng = std::make_unique<Rng>(0);
+      if (!RngFromText(entry.inject_rng, state->inject_rng.get())) {
         throw StateError("corrupt injection-generator state for stream '" +
                          entry.id + "'");
       }
@@ -638,12 +713,12 @@ void ServeEngine::RecoverFromStateDir() {
         throw StateError("corrupt model archive for stream '" + entry.id +
                          "': " + e.what());
       }
-      Shard* shard = shards_[state.shard].get();
+      Shard* shard = shards_[state->shard].get();
       const std::string mismatch = AttachIfFits(model.get(), config_, shard);
       if (!mismatch.empty()) {
         throw StateError("stream '" + entry.id + "' " + mismatch);
       }
-      state.model = std::move(model);
+      state->model = std::move(model);
       ++shard->num_streams;
       *shard->resident_streams = static_cast<double>(shard->num_streams);
       ++resident_;
@@ -651,10 +726,6 @@ void ServeEngine::RecoverFromStateDir() {
       // Re-materialize the parked file so a later touch can warm-start
       // without going back to the manifest.
       WriteEvictionArchive(config_.state_dir, entry.id, entry.archive);
-    }
-    if (!streams_.emplace(entry.id, std::move(state)).second) {
-      throw StateError("checkpoint manifest lists stream '" + entry.id +
-                       "' twice");
     }
   }
 }
@@ -666,7 +737,9 @@ void ServeEngine::ProcessShard(Shard* shard, ShardWork* work) {
   // coalescing identical at any shard count (see the header contract).
   // A counting sort on the per-window group index, groups numbered in
   // first-appearance order through an open-addressed table at most half
-  // full.
+  // full. It probes from the high half of each stream's hash, because
+  // the low bits also chose the shard (hash % num_shards) and so are
+  // skewed among the streams of one shard.
   const std::vector<Routed>& items = work->queue;
   std::size_t table_size = 1;
   while (table_size < 2 * items.size()) table_size <<= 1;
@@ -677,8 +750,7 @@ void ServeEngine::ProcessShard(Shard* shard, ShardWork* work) {
   work->group_end.clear();
   for (std::size_t i = 0; i < items.size(); ++i) {
     const StreamState* stream = items[i].stream;
-    std::size_t at =
-        SplitMix64(reinterpret_cast<std::uintptr_t>(stream)) & (table_size - 1);
+    std::size_t at = (stream->hash >> 32) & (table_size - 1);
     while (work->table[at].first != nullptr &&
            work->table[at].first != stream) {
       at = (at + 1) & (table_size - 1);
@@ -808,7 +880,7 @@ void ServeEngine::AppendStatsLine(std::string* out) const {
   // Routing-time tallies only: everything here is a pure function of the
   // request sequence, so `stats` responses match at any shard count.
   out->append("OK stats {\"streams\": ");
-  AppendDecimal(out, streams_.size());
+  AppendDecimal(out, num_streams_);
   out->append(", \"resident_streams\": ");
   AppendDecimal(out, resident_);
   for (const auto& [name, tally] : kStatsFields) {

@@ -13,15 +13,24 @@
 // request order, one line per request, written with one out.write per
 // window.
 //
-// Allocation model: once the engine is warm (every stream of the traffic
-// created, every buffer grown to one window's worth), routing and running
-// train/score windows on one shard allocate nothing per request. The
-// engine reuses one parsed Request, looks streams up by the string_view of
-// the parsed id (an owning id is built only when a stream is created),
-// copies each row into one flat per-window value buffer, formats into
-// response slots that keep their capacity, and regroups each shard's queue
-// with grow-only scratch. Stream creation, snapshot/restore, drop,
-// eviction, checkpoints and pool dispatch (num_shards > 1) still allocate.
+// Allocation and lookup model: once the engine is warm (every stream of
+// the traffic created, every buffer grown to one window's worth), routing
+// and running train/score windows on one shard allocate nothing per
+// request. The engine reuses one parsed Request, hashes the parsed id once
+// (StreamHash: FNV-1a, SplitMix64-finalized) and finds the stream in a
+// flat open-addressed index of (hash, StreamState*) slots -- linear
+// probing, at most half full, backward-shift deletion -- so a hit costs
+// one probe run plus one id compare; an owning id is built only when a
+// stream is created. The same hash picks the stream's shard (hash %
+// num_shards) and seeds ProcessShard's stream -> group table. The
+// StreamStates themselves live in a slab that never moves them: Routed
+// entries, eviction victims and checkpoint order hold StreamState*
+// across windows in which streams are created (and the index grows), and
+// a drop returns its slab slot for reuse. Rows are copied into one flat
+// per-window value buffer, responses are formatted into slots that keep
+// their capacity, and each shard's queue is regrouped with grow-only
+// scratch. Stream creation, snapshot/restore, drop, eviction, checkpoints
+// and pool dispatch (num_shards > 1) still allocate.
 //
 // Determinism contract: the same request script and seed produce
 // byte-identical responses at ANY shard count. Three properties make this
@@ -42,12 +51,12 @@
 #define DMT_SERVE_ENGINE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -154,7 +163,7 @@ class ServeEngine {
   // Convenience driver: ServeLine for every line of `in`, then Finish.
   void RunScript(std::istream& in, std::ostream& out);
 
-  std::size_t num_streams() const { return streams_.size(); }
+  std::size_t num_streams() const { return num_streams_; }
   // Streams whose model is in memory (num_streams minus parked streams).
   std::size_t resident_streams() const { return resident_; }
   std::size_t num_shards() const { return shards_.size(); }
@@ -165,6 +174,7 @@ class ServeEngine {
  private:
   struct StreamState {
     std::string id;
+    std::uint64_t hash = 0;  // StreamHash(id): index key and shard home
     std::size_t shard = 0;
     // Null while the stream is parked on disk (evicted); warm-started
     // transparently on the next touch.
@@ -202,19 +212,21 @@ class ServeEngine {
     std::vector<const Routed*> order;
   };
 
-  // Hashes owning keys and string_view probes alike, so streams_ can be
-  // searched with the parsed id without building a std::string.
-  struct IdHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view id) const {
-      return std::hash<std::string_view>{}(id);
-    }
+  // One slot of the stream index; a null stream marks an empty slot.
+  struct IndexSlot {
+    std::uint64_t hash = 0;
+    StreamState* stream = nullptr;
   };
 
-  // Returns the (possibly just created or warm-started) stream, or nullptr
-  // when a parked stream's archive cannot be loaded -- `*error` then holds
-  // the diagnostic and the stream stays parked.
-  StreamState* FindOrCreateStream(std::string_view id, std::string* error);
+  // The stream index. FindStream returns nullptr for an unknown id.
+  // AddStream indexes a slab slot carrying only the id, hash and shard
+  // (growing the index first if it would pass half full); CreateStream
+  // adds a fresh model on top. RemoveStream unindexes a stream and resets
+  // its slot onto the free list.
+  StreamState* FindStream(std::string_view id, std::uint64_t hash) const;
+  StreamState* AddStream(std::string_view id, std::uint64_t hash);
+  StreamState* CreateStream(std::string_view id, std::uint64_t hash);
+  void RemoveStream(StreamState* stream);
   bool WarmStart(StreamState* stream, std::string* error);
   void InjectFaults(Request* request, StreamState* stream);
   void RouteRequest(Request* request, std::size_t slot);
@@ -229,8 +241,12 @@ class ServeEngine {
   ServeConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> pool_;  // only when num_shards > 1
-  std::unordered_map<std::string, StreamState, IdHash, std::equal_to<>>
-      streams_;
+  // Live streams: index_ (a power of two, at most half full) points into
+  // slab_, whose elements never move; free_ holds dropped slab slots.
+  std::vector<IndexSlot> index_;
+  std::size_t num_streams_ = 0;
+  std::deque<StreamState> slab_;
+  std::vector<StreamState*> free_;
 
   // Reused by every ServeLine call.
   Request request_;

@@ -60,7 +60,9 @@ Batch TrainAndMakeProbe(Classifier* model, std::uint64_t seed) {
   return batch;  // the last training batch doubles as the scoring probe
 }
 
-void ExpectZeroAllocScoring(Classifier* model, const Batch& probe) {
+// Parameters are [[maybe_unused]]: a sanitizer build skips the body.
+void ExpectZeroAllocScoring([[maybe_unused]] Classifier* model,
+                            [[maybe_unused]] const Batch& probe) {
 #ifdef DMT_UNDER_SANITIZER
   GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
 #else
@@ -154,8 +156,10 @@ std::vector<Batch> MakeBatches(int rounds, int per_batch, std::uint64_t seed,
 }
 
 template <typename Model>
-void ExpectZeroAllocTraining(Model* model, const std::vector<Batch>& warmup,
-                             const std::vector<Batch>& measured) {
+void ExpectZeroAllocTraining(
+    [[maybe_unused]] Model* model,
+    [[maybe_unused]] const std::vector<Batch>& warmup,
+    [[maybe_unused]] const std::vector<Batch>& measured) {
 #ifdef DMT_UNDER_SANITIZER
   GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
 #else

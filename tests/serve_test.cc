@@ -3,6 +3,7 @@
 // any shard count), explicit back-pressure, live snapshot/restore parity
 // with the offline serial archives, and JSONL telemetry validity under
 // NaN traffic.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -472,6 +473,119 @@ TEST(ServeEngineTest, DropForgetsAndRecreatesFreshModel) {
   EXPECT_EQ(out[4], "OK train u n=1");
   EXPECT_EQ(out[6], out[2]);
   EXPECT_EQ(engine.num_streams(), 1u);
+}
+
+TEST(ServeEngineTest, StreamIndexSurvivesGrowthDropsAndRecreation) {
+  // 300 streams are created inside one 1024-request window, so the stream
+  // index (64 slots when empty, never more than half full) grows several
+  // times while that window's queued requests still point at the first
+  // streams. Then every third stream is dropped and every sixth re-created.
+  constexpr int kStreams = 300;
+  const auto id = [](int i) { return "s" + std::to_string(i); };
+  const auto train = [&id](int i) {
+    return "train " + id(i) + " " + std::to_string((i % 97) / 97.0) + "," +
+           std::to_string((i % 89) / 89.0) + "," + std::to_string(i % 2);
+  };
+  const auto score = [&id](int i) {
+    return "score " + id(i) + " " + std::to_string((i % 83) / 83.0) + "," +
+           std::to_string((i % 79) / 79.0);
+  };
+  const auto recreated = [](int i) { return i % 6 == 0; };
+  const auto survives = [](int i) { return i % 3 != 0; };
+  std::vector<std::string> script;
+  for (int i = 0; i < kStreams; ++i) script.push_back(train(i));
+  for (int i = 0; i < kStreams; ++i) script.push_back(score(i));
+  for (int i = 0; i < kStreams; i += 3) script.push_back("drop " + id(i));
+  script.push_back("stats");
+  std::vector<int> touched;
+  for (int i = 0; i < kStreams; ++i) {
+    if (survives(i) || recreated(i)) touched.push_back(i);
+  }
+  for (const int i : touched) script.push_back(train(i));
+  for (const int i : touched) script.push_back(score(i));
+  script.push_back("stats");
+
+  std::string outputs[2];
+  const std::size_t shard_counts[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    serve::ServeConfig config;
+    config.num_features = 2;
+    config.num_classes = 2;
+    config.num_shards = shard_counts[k];
+    config.batch_window = 1024;
+    config.factory = GlmFactory(2, 2);
+    serve::ServeEngine engine(config);
+    outputs[k] = RunLines(&engine, script);
+    EXPECT_EQ(engine.num_streams(), static_cast<std::size_t>(kStreams) -
+                                        kStreams / 3 + kStreams / 6);
+  }
+  EXPECT_EQ(outputs[0], outputs[1]);
+
+  const std::vector<std::string> out = SplitLines(outputs[0]);
+  ASSERT_EQ(out.size(), script.size());
+  std::size_t line = 0;
+  for (int i = 0; i < kStreams; ++i, ++line) {
+    EXPECT_EQ(out[line], "OK train " + id(i) + " n=1");
+  }
+  const std::size_t first_scores = line;
+  line += kStreams;
+  for (int i = 0; i < kStreams; i += 3, ++line) {
+    EXPECT_EQ(out[line], "OK drop " + id(i));
+  }
+  EXPECT_EQ(out[line++].rfind("OK stats {\"streams\": 200, ", 0), 0u);
+  for (const int i : touched) {
+    // Survivors continue their ordinals; re-created streams start over.
+    EXPECT_EQ(out[line++],
+              "OK train " + id(i) + (survives(i) ? " n=2" : " n=1"));
+  }
+  for (const int i : touched) {
+    const std::string& scored = out[line++];
+    EXPECT_EQ(scored.rfind("OK score " + id(i) + " pred=", 0), 0u) << scored;
+    // Same id, seed and single training row: a re-created stream's model
+    // is the fresh model the stream had in the first window.
+    if (recreated(i)) {
+      EXPECT_EQ(scored, out[first_scores + static_cast<std::size_t>(i)]);
+    }
+  }
+  EXPECT_EQ(out[line++].rfind("OK stats {\"streams\": 250, ", 0), 0u);
+}
+
+TEST(ServeEngineTest, StreamIndexChurnKeepsOrdinalsExact) {
+  // Random train/drop churn over a small id space: every train ordinal
+  // must match a reference count, so a stream the index loses (e.g. to a
+  // wrong backward shift on erase) shows up as a restarted ordinal.
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;
+  const auto next = [&state]() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  std::vector<std::string> script;
+  std::vector<std::string> expected;
+  std::vector<std::uint64_t> rows(400, 0);
+  for (int r = 0; r < 6000; ++r) {
+    const std::size_t s = next() % rows.size();
+    const std::string id = "u" + std::to_string(s);
+    if (next() % 5 == 0) {
+      script.push_back("drop " + id);
+      expected.push_back(rows[s] > 0 ? "OK drop " + id
+                                     : "ERR unknown_stream " + id);
+      rows[s] = 0;
+    } else {
+      script.push_back("train " + id + " 0.25,0.75," +
+                       std::to_string(next() % 2));
+      expected.push_back("OK train " + id + " n=" + std::to_string(++rows[s]));
+    }
+  }
+  serve::ServeConfig config;
+  config.num_features = 2;
+  config.num_classes = 2;
+  config.factory = GlmFactory(2, 2);
+  serve::ServeEngine engine(config);
+  EXPECT_EQ(SplitLines(RunLines(&engine, script)), expected);
+  EXPECT_EQ(engine.num_streams(),
+            static_cast<std::size_t>(std::count_if(
+                rows.begin(), rows.end(),
+                [](std::uint64_t n) { return n > 0; })));
 }
 
 // ----------------------------------------------------- bad-input policies
